@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"neutronsim/internal/plan"
 	"neutronsim/internal/surrogate"
 )
 
@@ -42,30 +41,13 @@ func TestGridValidation(t *testing.T) {
 	}
 }
 
-func TestBuildGrid(t *testing.T) {
-	pts := buildGrid(1, 100, 3, 2, 2, 1)
-	if len(pts) != 3 {
-		t.Fatalf("%d points", len(pts))
-	}
-	for i, want := range []float64{1, 10, 100} {
-		if got := pts[i].boron; got < want*0.999 || got > want*1.001 {
-			t.Errorf("point %d boron = %v, want ~%v", i, got, want)
-		}
-	}
-	for _, p := range pts {
-		if p.qcrit != 2 {
-			t.Errorf("qcrit = %v", p.qcrit)
-		}
-	}
-}
-
 func TestSweepOutput(t *testing.T) {
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "grid.csv")
 	out, err := capture(t, func() error {
 		return run([]string{
 			"-boron-steps", "3", "-qcrit-steps", "2",
-			"-samples", "8000", "-workers", "2", "-seed", "5",
+			"-samples", "8000", "-shards", "2", "-seed", "5",
 			"-csv", csvPath,
 		})
 	})
@@ -82,120 +64,6 @@ func TestSweepOutput(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
 	if len(lines) != 1+3*2 {
 		t.Errorf("CSV rows = %d, want 7", len(lines))
-	}
-}
-
-// captureStderr runs f with os.Stderr redirected to a pipe.
-func captureStderr(t *testing.T, f func() error) (string, error) {
-	t.Helper()
-	old := os.Stderr
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stderr = w
-	done := make(chan string)
-	go func() {
-		data, _ := io.ReadAll(r)
-		done <- string(data)
-	}()
-	runErr := f()
-	w.Close()
-	os.Stderr = old
-	return <-done, runErr
-}
-
-func TestDeprecatedWorkersWarnsOnce(t *testing.T) {
-	stderr, err := captureStderr(t, func() error {
-		_, runErr := capture(t, func() error {
-			return run([]string{
-				"-boron-steps", "1", "-qcrit-steps", "1",
-				"-samples", "2000", "-workers", "2", "-seed", "5",
-			})
-		})
-		return runErr
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(stderr, "-workers is deprecated"); got != 1 {
-		t.Errorf("deprecation warning appeared %d times, want exactly 1:\n%s", got, stderr)
-	}
-}
-
-func TestWorkersShardsConflict(t *testing.T) {
-	stderr, err := captureStderr(t, func() error {
-		return run([]string{
-			"-boron-steps", "1", "-qcrit-steps", "1",
-			"-samples", "2000", "-workers", "2", "-shards", "4",
-		})
-	})
-	if err == nil || !strings.Contains(err.Error(), "conflicting") {
-		t.Errorf("conflicting -workers/-shards accepted: err=%v", err)
-	}
-	if !strings.Contains(stderr, "-workers is deprecated") {
-		t.Error("conflict path should still warn about the deprecated flag")
-	}
-	// Agreeing values are not a conflict: the user just spelled the same
-	// request twice.
-	_, err = captureStderr(t, func() error {
-		_, runErr := capture(t, func() error {
-			return run([]string{
-				"-boron-steps", "1", "-qcrit-steps", "1",
-				"-samples", "2000", "-workers", "3", "-shards", "3",
-			})
-		})
-		return runErr
-	})
-	if err != nil {
-		t.Errorf("matching -workers and -shards rejected: %v", err)
-	}
-}
-
-func TestSweepMonotoneInBoron(t *testing.T) {
-	pts := buildGrid(1e13, 1e15, 3, 6, 6, 1)
-	if err := evaluate(pts, 30000, 2, 9, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Thermal sigma rises with boron; fast sigma stays flat.
-	if !(pts[0].sigmaThermal < pts[1].sigmaThermal && pts[1].sigmaThermal < pts[2].sigmaThermal) {
-		t.Errorf("thermal sigma not monotone: %v %v %v",
-			pts[0].sigmaThermal, pts[1].sigmaThermal, pts[2].sigmaThermal)
-	}
-	fastSpread := pts[2].sigmaFast / pts[0].sigmaFast
-	if fastSpread < 0.5 || fastSpread > 2 {
-		t.Errorf("fast sigma should not depend on boron: spread %v", fastSpread)
-	}
-}
-
-// TestSweepBiasedAgreesWithExact pins the weighted estimator's contract:
-// with thermal oversampling the design-point sigmas must agree with the
-// analog estimator within Monte Carlo noise, on both beamlines.
-func TestSweepBiasedAgreesWithExact(t *testing.T) {
-	exact := buildGrid(1e14, 1e15, 2, 6, 6, 1)
-	if err := evaluate(exact, 30000, 2, 9, nil); err != nil {
-		t.Fatal(err)
-	}
-	biased := buildGrid(1e14, 1e15, 2, 6, 6, 1)
-	if err := evaluate(biased, 30000, 2, 9, &plan.Bias{Thermal: 10}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range exact {
-		for _, c := range []struct {
-			name   string
-			ex, bi float64
-		}{
-			{"thermal", exact[i].sigmaThermal, biased[i].sigmaThermal},
-			{"fast", exact[i].sigmaFast, biased[i].sigmaFast},
-		} {
-			if c.ex <= 0 || c.bi <= 0 {
-				t.Errorf("point %d %s: nonpositive sigma (exact %v, biased %v)", i, c.name, c.ex, c.bi)
-				continue
-			}
-			if r := c.bi / c.ex; r < 0.7 || r > 1.4 {
-				t.Errorf("point %d %s: biased sigma %v vs exact %v (ratio %v)", i, c.name, c.bi, c.ex, r)
-			}
-		}
 	}
 }
 

@@ -229,7 +229,7 @@ func prepare(ctx context.Context, cfg Config) (*campaignSetup, error) {
 	// bit-identically (DESIGN.md §12).
 	calCtx, cal := telemetry.StartSpan(ctx, "beam.calibrate")
 	cal.SetStage("compile")
-	pl := plan.Shared.ForBiasedContext(calCtx, cfg.Device, cfg.Beam, cfg.CalSamples, cfg.Seed, cfg.Bias)
+	pl := plan.Shared.For(calCtx, cfg.Device, cfg.Beam, cfg.CalSamples, cfg.Seed, cfg.Bias)
 	cal.End()
 
 	flux := float64(cfg.Beam.TotalFlux()) * cfg.Derating
@@ -463,7 +463,6 @@ type shardRunner struct {
 	inj        *faultinject.Injector
 	steps      int
 	s          *rng.Stream
-	events     *atomic.Int64
 	tc         shardTally
 	faults     []faultinject.Timed
 	persistent []faultinject.Timed
@@ -478,7 +477,7 @@ type shardRunner struct {
 	wCarried float64
 }
 
-func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, lambda float64, events *atomic.Int64) (*shardRunner, error) {
+func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, lambda float64) (*shardRunner, error) {
 	w, err := workload.New(cfg.WorkloadName)
 	if err != nil {
 		return nil, err
@@ -505,7 +504,6 @@ func newShardRunner(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, lambda f
 		inj:          inj,
 		steps:        w.Steps(),
 		s:            sh.Stream,
-		events:       events,
 		wCarried:     1,
 	}, nil
 }
@@ -527,41 +525,17 @@ const (
 	runBatchSize = 512
 )
 
-// poisson draws the per-run interaction count via the rng layer's
-// cached-exponential Poisson, which matches Stream.Poisson draw-for-draw
-// (pinned by TestPoissonCachedMatchesStream) while paying math.Exp once
-// per shard instead of once per run.
-func (r *shardRunner) poisson() int64 {
-	return r.s.PoissonExp(r.lambda, r.expNegLambda)
-}
-
-// oneRun executes a single beam run: a Poisson number of conditioned
-// interaction draws, device physics per interaction, then workload replay
-// under the collected faults. The common case — no interactions, no
-// carried faults — returns immediately; the rare fault-materialization
-// work lives in materialize so the hot loop stays small. It must stay
-// free of per-run allocations (asserted by TestRunLoopZeroAllocs).
-func (r *shardRunner) oneRun() {
-	before := r.tc.sdc + r.tc.due
-	nInt := r.poisson()
-	if nInt == 0 && len(r.persistent) == 0 {
-		r.tc.masked++
-		return
-	}
-	r.materialize(nInt)
-	if d := r.tc.sdc + r.tc.due - before; d != 0 {
-		r.events.Add(d)
-	}
-}
-
-// runBlock executes n exact runs as one batch: the classify pass
-// separates the no-interaction common path (a Poisson draw and a local
-// masked increment) from the rare materialization path, and the batch's
-// integer deltas flush to the shard tally and the shared events counter
-// once at the end. Every stream draw happens in exactly the per-run
-// order, so the batch is bit-identical to n oneRun calls.
+// runBlock executes n exact runs as one batch. Each run is a Poisson
+// number of conditioned interaction draws, device physics per
+// interaction, then workload replay under the collected faults. The
+// classify pass separates the no-interaction common path (one
+// cached-exponential Poisson draw and a local masked increment) from
+// the rare materialization path, and the batch's integer deltas flush to
+// the shard tally once at the end. Every
+// stream draw happens in exactly the per-run order, so the batch is
+// bit-identical to the scalar reference loop in batch_test.go, and it
+// must stay free of per-run allocations (TestRunLoopZeroAllocs).
 func (r *shardRunner) runBlock(n int) {
-	before := r.tc.sdc + r.tc.due
 	lambda, expNeg := r.lambda, r.expNegLambda
 	s := r.s
 	var masked int64
@@ -574,9 +548,6 @@ func (r *shardRunner) runBlock(n int) {
 		r.materialize(nInt)
 	}
 	r.tc.masked += masked
-	if d := r.tc.sdc + r.tc.due - before; d != 0 {
-		r.events.Add(d)
-	}
 }
 
 // materialize is the rare path of an exact run: nInt > 0 interactions to
@@ -625,39 +596,19 @@ func (r *shardRunner) materialize(nInt int64) {
 	}
 }
 
-// oneRunWeighted is oneRun for biased campaigns: the same batched
-// structure — fast no-interaction path, outlined materialization — but
-// every interaction comes from the biased table with its likelihood
-// weight, and every tally is fed the appropriate weight alongside the
-// integer count. Per-draw tallies (draws, upsets by band) use the draw's
-// own weight; run outcomes (SDC/DUE/Masked) use the product of the
-// weights of every draw that influenced the run. Like oneRun it must stay
-// free of per-run allocations (TestRunLoopZeroAllocs covers both).
-func (r *shardRunner) oneRunWeighted() {
-	before := r.tc.sdc + r.tc.due
-	nInt := r.poisson()
-	if nInt == 0 && len(r.persistent) == 0 {
-		// A run with no draws and no carried faults is masked with outcome
-		// weight wCarried·1.0 and resets the carried product exactly like
-		// advanceCarried would (the persistent set is empty).
-		r.tc.masked++
-		r.tc.w.masked.Add(r.wCarried)
-		r.wCarried = 1
-		return
-	}
-	r.materializeWeighted(nInt)
-	if d := r.tc.sdc + r.tc.due - before; d != 0 {
-		r.events.Add(d)
-	}
-}
-
-// runBlockWeighted is runBlock for biased campaigns. Only the associative
-// integer counts and the events delta are batch-accumulated; the weighted
-// tallies are Kahan-compensated sums whose value depends on add order, so
-// they are fed per run in exactly the scalar order — bit-identity over
-// speed for anything non-associative.
+// runBlockWeighted is runBlock for biased campaigns: every interaction
+// comes from the biased table with its likelihood weight, and every
+// tally is fed the appropriate weight alongside the integer count.
+// Per-draw tallies (draws, upsets by band) use the draw's own weight;
+// run outcomes (SDC/DUE/Masked) use the product of the weights of every
+// draw that influenced the run. A run with no draws and no carried
+// faults is masked with outcome weight wCarried·1.0 and resets the
+// carried product exactly like advanceCarried would. Only the
+// associative integer counts are batch-accumulated;
+// the weighted tallies are Kahan-compensated sums whose value depends on
+// add order, so they are fed per run in exactly the scalar order —
+// bit-identity over speed for anything non-associative.
 func (r *shardRunner) runBlockWeighted(n int) {
-	before := r.tc.sdc + r.tc.due
 	lambda, expNeg := r.lambda, r.expNegLambda
 	s := r.s
 	var masked int64
@@ -672,9 +623,6 @@ func (r *shardRunner) runBlockWeighted(n int) {
 		r.materializeWeighted(nInt)
 	}
 	r.tc.masked += masked
-	if d := r.tc.sdc + r.tc.due - before; d != 0 {
-		r.events.Add(d)
-	}
 }
 
 // materializeWeighted is the rare path of a weighted run.
@@ -752,7 +700,7 @@ func (r *shardRunner) advanceCarried(wRun float64) {
 }
 
 func runShard(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, lambda float64, events *atomic.Int64) (shardTally, error) {
-	r, err := newShardRunner(cfg, sh, pl, lambda, events)
+	r, err := newShardRunner(cfg, sh, pl, lambda)
 	if err != nil {
 		return shardTally{}, err
 	}
@@ -760,17 +708,17 @@ func runShard(cfg Config, sh engine.Shard, pl *plan.CampaignPlan, lambda float64
 	// pre-filled by the stream's read-ahead buffer, integer tallies
 	// accumulate batch-locally, and the shared events counter sees one
 	// atomic add per batch instead of one per event.
+	block := r.runBlock
 	if pl.IsBiased() {
-		for n := sh.Count; n > 0; {
-			b := min(n, runBatchSize)
-			r.runBlockWeighted(b)
-			n -= b
-		}
-		return r.tc, nil
+		block = r.runBlockWeighted
 	}
 	for n := sh.Count; n > 0; {
 		b := min(n, runBatchSize)
-		r.runBlock(b)
+		before := r.tc.sdc + r.tc.due
+		block(b)
+		if d := r.tc.sdc + r.tc.due - before; d != 0 {
+			events.Add(d)
+		}
 		n -= b
 	}
 	return r.tc, nil

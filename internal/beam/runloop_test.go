@@ -1,8 +1,6 @@
 package beam
 
 import (
-	"math"
-	"sync/atomic"
 	"testing"
 
 	"neutronsim/internal/device"
@@ -27,17 +25,17 @@ func TestRunLoopZeroAllocs(t *testing.T) {
 		Seed:         7,
 	}.withDefaults()
 	pl := plan.Compile(cfg.Device, cfg.Beam, 20000, rng.New(1))
-	var events atomic.Int64
-	r, err := newShardRunner(cfg, engine.Shard{Index: 0, Count: 1, Stream: rng.New(3)}, pl, 2, &events)
+	r, err := newShardRunner(cfg, engine.Shard{Index: 0, Count: 1, Stream: rng.New(3)}, pl, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	block := func() { r.runBlock(runBatchSize) }
 	// Warm up scratch capacities before measuring steady state.
-	for i := 0; i < 100; i++ {
-		r.oneRun()
+	for i := 0; i < 4; i++ {
+		block()
 	}
-	if avg := testing.AllocsPerRun(2000, r.oneRun); avg != 0 {
-		t.Errorf("run loop allocates %.2f times per run, want 0", avg)
+	if avg := testing.AllocsPerRun(20, block); avg != 0 {
+		t.Errorf("run loop allocates %.2f times per %d-run block, want 0", avg, runBatchSize)
 	}
 	if r.tc.interactions == 0 {
 		t.Fatal("run loop drew no interactions; the measurement exercised nothing")
@@ -50,36 +48,19 @@ func TestRunLoopZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr, err := newShardRunner(cfg, engine.Shard{Index: 0, Count: 1, Stream: rng.New(3)}, bpl, 2, &events)
+	wr, err := newShardRunner(cfg, engine.Shard{Index: 0, Count: 1, Stream: rng.New(3)}, bpl, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		wr.oneRunWeighted()
+	wblock := func() { wr.runBlockWeighted(runBatchSize) }
+	for i := 0; i < 4; i++ {
+		wblock()
 	}
-	if avg := testing.AllocsPerRun(2000, wr.oneRunWeighted); avg != 0 {
-		t.Errorf("weighted run loop allocates %.2f times per run, want 0", avg)
+	if avg := testing.AllocsPerRun(20, wblock); avg != 0 {
+		t.Errorf("weighted run loop allocates %.2f times per %d-run block, want 0", avg, runBatchSize)
 	}
 	if wr.tc.w.draws.N == 0 {
 		t.Fatal("weighted run loop drew no interactions; the measurement exercised nothing")
-	}
-}
-
-// TestPoissonCachedMatchesStream pins the determinism contract of the
-// cached-exponential Poisson fast path: it must consume the shard stream
-// draw-for-draw exactly like Stream.Poisson.
-func TestPoissonCachedMatchesStream(t *testing.T) {
-	for _, lambda := range []float64{0, 0.05, 2, 29.9, 30, 400} {
-		r := &shardRunner{lambda: lambda, s: rng.New(42)}
-		r.expNegLambda = math.Exp(-lambda)
-		ref := rng.New(42)
-		for i := 0; i < 500; i++ {
-			got := r.poisson()
-			want := ref.Poisson(lambda)
-			if got != want {
-				t.Fatalf("lambda=%v draw %d: cached poisson = %d, Stream.Poisson = %d", lambda, i, got, want)
-			}
-		}
 	}
 }
 

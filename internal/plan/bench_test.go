@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -45,12 +46,12 @@ func BenchmarkPlanCacheWarmHit(b *testing.B) {
 	c := NewCache(4, telemetry.NewRegistry())
 	d := device.K20()
 	sp := spectrum.ChipIR()
-	c.For(d, sp, benchPlanSamples, 1) // prime: the one allowed compile
+	c.For(context.Background(), d, sp, benchPlanSamples, 1, nil) // prime: the one allowed compile
 	before := c.Stats().Misses
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.For(d, sp, benchPlanSamples, 1)
+		_ = c.For(context.Background(), d, sp, benchPlanSamples, 1, nil)
 	}
 	b.StopTimer()
 	warmBench.stats = c.Stats()

@@ -92,54 +92,36 @@ func NewCache(capacity int, reg *telemetry.Registry) *Cache {
 // on every call (counted as bypass). The returned plan is immutable and
 // shared — callers must treat it as read-only, which the CampaignPlan API
 // enforces by construction.
-func (c *Cache) For(d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64) *CampaignPlan {
-	return c.ForContext(context.Background(), d, sp, calSamples, seed)
-}
-
-// ForContext is For with a caller context: the lookup opens a
-// "plan.lookup" telemetry span (annotated with the outcome — hit, miss,
-// coalesced or bypass) and a cache miss nests the "plan.compile" span
-// under it, so traced jobs see exactly where campaign setup time went.
-func (c *Cache) ForContext(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64) *CampaignPlan {
-	key, ok := KeyFor(d, sp, calSamples, seed)
-	return c.lookup(ctx, key, ok, func(ctx context.Context, key string) *CampaignPlan {
-		return c.timedCompile(ctx, d, sp, calSamples, seed, key)
-	})
-}
-
-// ForBiased returns the compiled plan for an importance-sampled campaign.
-// A nil bias is the exact path (For); a non-nil bias — including the
-// identity Bias{} — compiles through CompileBiased under a bias-extended
-// key (KeyForBiased), so biased and exact plans never collide and two
+//
+// A nil bias is the exact plan. A non-nil bias — including the identity
+// Bias{} — compiles through CompileBiased under a bias-extended key
+// (KeyForBiased), so biased and exact plans never collide and two
 // different bias knobs never share an entry. The bias must be valid
 // (Bias.Validate); callers validate at the API boundary, so an invalid
 // bias reaching the cache panics like any other impossible compile input.
-func (c *Cache) ForBiased(d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64, bias *Bias) *CampaignPlan {
-	return c.ForBiasedContext(context.Background(), d, sp, calSamples, seed, bias)
-}
-
-// ForBiasedContext is ForBiased with a caller context (see ForContext).
-func (c *Cache) ForBiasedContext(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64, bias *Bias) *CampaignPlan {
+//
+// The lookup opens a "plan.lookup" telemetry span under ctx (annotated
+// with the outcome — hit, miss, coalesced or bypass) and a cache miss
+// nests the "plan.compile" span under it, so traced jobs see exactly
+// where campaign setup time went.
+func (c *Cache) For(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64, bias *Bias) *CampaignPlan {
+	var key string
+	var ok bool
 	if bias == nil {
-		return c.ForContext(ctx, d, sp, calSamples, seed)
+		key, ok = KeyFor(d, sp, calSamples, seed)
+	} else {
+		key, ok = KeyForBiased(d, sp, calSamples, seed, *bias)
 	}
-	b := *bias
-	key, ok := KeyForBiased(d, sp, calSamples, seed, b)
-	return c.lookup(ctx, key, ok, func(ctx context.Context, key string) *CampaignPlan {
-		return c.timedCompileBiased(ctx, d, sp, calSamples, seed, b, key)
-	})
-}
-
-// lookup runs the hit/coalesce/miss/bypass protocol for one key, calling
-// compile on a miss (and on bypass, with an empty key).
-func (c *Cache) lookup(ctx context.Context, key string, ok bool, compile func(context.Context, string) *CampaignPlan) *CampaignPlan {
 	ctx, span := c.reg.StartSpan(ctx, "plan.lookup")
 	span.SetStage("compile")
 	defer span.End()
+	compile := func(key string) *CampaignPlan {
+		return c.timedCompile(ctx, d, sp, calSamples, seed, bias, key)
+	}
 	if !ok {
 		c.bypass.Add(1)
 		span.Annotate("outcome", "bypass")
-		return compile(ctx, "")
+		return compile("")
 	}
 	c.mu.Lock()
 	if el, hit := c.index[key]; hit {
@@ -164,13 +146,13 @@ func (c *Cache) lookup(ctx context.Context, key string, ok bool, compile func(co
 	c.mu.Unlock()
 	c.misses.Add(1)
 	span.Annotate("outcome", "miss")
-	return c.compileFlight(ctx, fl, key, compile)
+	return c.compileFlight(fl, key, compile)
 }
 
 // compileFlight compiles for the flight's waiters and settles the cache
 // entry. The deferred settlement runs even if Compile panics, so waiters
 // never block forever and the panic propagates to every caller.
-func (c *Cache) compileFlight(ctx context.Context, fl *flight, key string, compile func(context.Context, string) *CampaignPlan) *CampaignPlan {
+func (c *Cache) compileFlight(fl *flight, key string, compile func(string) *CampaignPlan) *CampaignPlan {
 	defer func() {
 		if r := recover(); r != nil {
 			fl.panicked = r
@@ -181,7 +163,7 @@ func (c *Cache) compileFlight(ctx context.Context, fl *flight, key string, compi
 			panic(r)
 		}
 	}()
-	pl := compile(ctx, key)
+	pl := compile(key)
 	fl.plan = pl
 	c.mu.Lock()
 	delete(c.inflight, key)
@@ -193,29 +175,25 @@ func (c *Cache) compileFlight(ctx context.Context, fl *flight, key string, compi
 	return pl
 }
 
-// timedCompile runs Compile with the canonical calibration substream for
+// timedCompile compiles the plan — exact for a nil bias, through
+// CompileBiased otherwise — from the canonical calibration substream for
 // the seed, recording the duration into plan.compile_seconds and a
-// "plan.compile" span.
-func (c *Cache) timedCompile(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64, key string) *CampaignPlan {
+// "plan.compile" span. The bias was validated at the API boundary
+// (beam.Config.validate, the neutrond request normalizer), so a compile
+// error here is a programming error and panics — same contract as the
+// alias-table build in Compile.
+func (c *Cache) timedCompile(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64, bias *Bias, key string) *CampaignPlan {
 	_, span := c.reg.StartSpan(ctx, "plan.compile")
 	t := telemetry.StartTimer(c.compile)
-	pl := Compile(d, sp, calSamples, CalibrationStream(seed))
-	pl.key = key
-	t.ObserveDuration()
-	span.End()
-	return pl
-}
-
-// timedCompileBiased is timedCompile for importance-sampled plans. The
-// bias was validated at the API boundary (beam.Config.validate, the
-// neutrond request normalizer), so a compile error here is a programming
-// error and panics — same contract as the alias-table build in Compile.
-func (c *Cache) timedCompileBiased(ctx context.Context, d *device.Device, sp spectrum.Spectrum, calSamples int, seed uint64, bias Bias, key string) *CampaignPlan {
-	_, span := c.reg.StartSpan(ctx, "plan.compile")
-	t := telemetry.StartTimer(c.compile)
-	pl, err := CompileBiased(d, sp, calSamples, CalibrationStream(seed), bias)
-	if err != nil {
-		panic(fmt.Sprintf("plan: compile biased plan: %v", err))
+	var pl *CampaignPlan
+	if bias == nil {
+		pl = Compile(d, sp, calSamples, CalibrationStream(seed))
+	} else {
+		var err error
+		pl, err = CompileBiased(d, sp, calSamples, CalibrationStream(seed), *bias)
+		if err != nil {
+			panic(fmt.Sprintf("plan: compile biased plan: %v", err))
+		}
 	}
 	pl.key = key
 	t.ObserveDuration()
@@ -284,11 +262,4 @@ func (c *Cache) Stats() Stats {
 		Entries:   entries,
 		Capacity:  capacity,
 	}
-}
-
-// Len reports the number of cached plans.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

@@ -7,6 +7,7 @@
 package plan_test
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -63,7 +64,7 @@ func TestConformanceCachedRunsBitIdentical(t *testing.T) {
 				if !reflect.DeepEqual(first, second) {
 					t.Errorf("cached repeat diverged from the first run:\nfirst:  %+v\nsecond: %+v", first, second)
 				}
-				cached := plan.Shared.For(cfg.Device, cfg.Beam, cfg.CalSamples, cfg.Seed)
+				cached := plan.Shared.For(context.Background(), cfg.Device, cfg.Beam, cfg.CalSamples, cfg.Seed, nil)
 				direct := plan.Compile(cfg.Device, cfg.Beam, cfg.CalSamples, plan.CalibrationStream(cfg.Seed))
 				if cached.Checksum() != direct.Checksum() {
 					t.Error("shared-cache plan differs from a from-scratch Compile")

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -75,14 +76,14 @@ func TestCacheHitMissEvict(t *testing.T) {
 	d := device.K20()
 	const n = 256
 
-	p1 := c.For(d, spectrum.ChipIR(), n, 1)
+	p1 := c.For(context.Background(), d, spectrum.ChipIR(), n, 1, nil)
 	if got := c.Stats(); got.Misses != 1 || got.Hits != 0 || got.Entries != 1 {
 		t.Fatalf("after first compile: %+v", got)
 	}
 	if p1.Key() == "" {
 		t.Error("cached plan lost its key")
 	}
-	p1again := c.For(d, spectrum.ChipIR(), n, 1)
+	p1again := c.For(context.Background(), d, spectrum.ChipIR(), n, 1, nil)
 	if p1again != p1 {
 		t.Error("hit returned a different plan instance")
 	}
@@ -90,15 +91,15 @@ func TestCacheHitMissEvict(t *testing.T) {
 		t.Fatalf("after hit: %+v", got)
 	}
 
-	c.For(d, spectrum.ROTAX(), n, 1) // fills capacity
-	c.For(d, spectrum.ChipIR(), n, 2)
+	c.For(context.Background(), d, spectrum.ROTAX(), n, 1, nil) // fills capacity
+	c.For(context.Background(), d, spectrum.ChipIR(), n, 2, nil)
 	// Capacity 2 with three distinct keys: the LRU victim is ChipIR/seed 1
 	// (ROTAX/seed 1 and ChipIR/seed 2 were touched after its last hit).
 	st := c.Stats()
 	if st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("after overflow: %+v", st)
 	}
-	p1yetAgain := c.For(d, spectrum.ChipIR(), n, 1)
+	p1yetAgain := c.For(context.Background(), d, spectrum.ChipIR(), n, 1, nil)
 	if p1yetAgain == p1 {
 		t.Error("evicted plan instance came back; expected a recompile")
 	}
@@ -118,8 +119,8 @@ func TestCacheBypass(t *testing.T) {
 	c := NewCache(4, reg)
 	d := device.K20()
 	sp := &prefixSpectrum{prefix: 0}
-	a := c.For(d, sp, 64, 1)
-	b := c.For(d, sp, 64, 1)
+	a := c.For(context.Background(), d, sp, 64, 1, nil)
+	b := c.For(context.Background(), d, sp, 64, 1, nil)
 	if a == b {
 		t.Error("bypass returned a shared instance; unkeyable spectra must compile per call")
 	}
@@ -139,10 +140,10 @@ func TestSetCapacityEvicts(t *testing.T) {
 	c := NewCache(8, reg)
 	d := device.K20()
 	for seed := uint64(1); seed <= 4; seed++ {
-		c.For(d, spectrum.ChipIR(), 64, seed)
+		c.For(context.Background(), d, spectrum.ChipIR(), 64, seed, nil)
 	}
-	if c.Len() != 4 {
-		t.Fatalf("cache holds %d plans, want 4", c.Len())
+	if n := c.Stats().Entries; n != 4 {
+		t.Fatalf("cache holds %d plans, want 4", n)
 	}
 	c.SetCapacity(2)
 	st := c.Stats()
@@ -151,8 +152,8 @@ func TestSetCapacityEvicts(t *testing.T) {
 	}
 	// The most recent seeds survive.
 	before := st.Misses
-	c.For(d, spectrum.ChipIR(), 64, 3)
-	c.For(d, spectrum.ChipIR(), 64, 4)
+	c.For(context.Background(), d, spectrum.ChipIR(), 64, 3, nil)
+	c.For(context.Background(), d, spectrum.ChipIR(), 64, 4, nil)
 	if got := c.Stats(); got.Misses != before {
 		t.Errorf("recently used plans were evicted: %+v", got)
 	}
@@ -175,7 +176,7 @@ func TestCoalescing(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			plans[i] = c.For(d, spectrum.ChipIR(), 50000, 1)
+			plans[i] = c.For(context.Background(), d, spectrum.ChipIR(), 50000, 1, nil)
 		}(i)
 	}
 	close(start)
@@ -202,7 +203,7 @@ func TestSharedCompileMatchesDirect(t *testing.T) {
 	c := NewCache(4, reg)
 	d := device.TitanV()
 	const n, seed = 2000, 42
-	cached := c.For(d, spectrum.ROTAX(), n, seed)
+	cached := c.For(context.Background(), d, spectrum.ROTAX(), n, seed, nil)
 	direct := Compile(d, spectrum.ROTAX(), n, CalibrationStream(seed))
 	if cached.Checksum() != direct.Checksum() {
 		t.Fatal("cached plan differs from a direct Compile with the canonical calibration stream")

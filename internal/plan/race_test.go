@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestCacheStress(t *testing.T) {
 					// Shrink and regrow the cache mid-flight.
 					c.SetCapacity(1 + (g+i)%3)
 				}
-				pl := c.For(d, sp, calSamples, seed)
+				pl := c.For(context.Background(), d, sp, calSamples, seed, nil)
 				key, _ := KeyFor(d, sp, calSamples, seed)
 				if pl.Checksum() != want[key] {
 					select {

@@ -23,15 +23,17 @@ import (
 	"neutronsim/internal/device"
 	"neutronsim/internal/physics"
 	"neutronsim/internal/plan"
+	"neutronsim/internal/rng"
 	"neutronsim/internal/spectrum"
 )
 
 // Feature indices of the model input vector. The first two are the
 // sweep design knobs in log space; the band fractions make the model
 // spectrum-aware (one model covers both beamlines); the bias factors
-// pin the estimator family — training runs the exact estimator, so all
-// three are 1 across the training set and any importance-sampled query
-// lands outside the hull and falls back to exact MC.
+// pin the estimator family — the stock training grids run the exact
+// estimator, so all three are 1 across the training set and any
+// importance-sampled query lands outside the hull and falls back to
+// exact MC.
 const (
 	FeatLogBoron = iota
 	FeatLogQcrit
@@ -101,9 +103,7 @@ func SpectrumFingerprint(sp spectrum.Spectrum) (string, bool) {
 // DesignDevice returns the sweep design-space device for one
 // (boron, Qcrit) point: the K20 planar template with the two design
 // knobs applied and the catalog's QcritSigma = Qcrit/4 spread.
-// cmd/sweep, the training grid, and neutrond's xsection executor all
-// build their device here, so a surrogate trained on sweep output
-// predicts exactly the quantity the exact path computes.
+// DesignSigma builds its device here.
 func DesignDevice(boronPerCm2, qcritFC float64) *device.Device {
 	d := device.K20()
 	d.Name = "sweep"
@@ -111,4 +111,27 @@ func DesignDevice(boronPerCm2, qcritFC float64) *device.Device {
 	d.QcritFC = qcritFC
 	d.QcritSigmaFC = qcritFC / 4
 	return d
+}
+
+// DesignSigma estimates the upset cross section (cm²) of the design
+// point (boron, Qcrit) against sp from samples Monte Carlo energies
+// drawn from s. A nil bias is the exact analog estimator; a non-nil
+// bias compiles an importance-sampled plan from s and runs the
+// likelihood-weighted estimator on the same stream. It is the only
+// design-point estimator: EvaluateGrid (and with it cmd/sweep and
+// surrogate training) and neutrond's exact xsection path all call it,
+// so a surrogate is trained on exactly the quantity its fallback
+// computes.
+func DesignSigma(boronPerCm2, qcritFC float64, sp spectrum.Spectrum, samples int, s *rng.Stream, bias *plan.Bias) (float64, error) {
+	d := DesignDevice(boronPerCm2, qcritFC)
+	if bias == nil {
+		sigma, err := d.UpsetCrossSection(sp.Sample, samples, s)
+		return float64(sigma), err
+	}
+	cp, err := plan.CompileBiased(d, sp, samples, s, *bias)
+	if err != nil {
+		return 0, err
+	}
+	sigma, _, err := cp.UpsetCrossSectionWeighted(d, samples, s)
+	return float64(sigma), err
 }

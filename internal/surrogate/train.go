@@ -1,6 +1,7 @@
 package surrogate
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -9,7 +10,9 @@ import (
 	"math"
 	"os"
 	"sort"
+	"time"
 
+	"neutronsim/internal/engine"
 	"neutronsim/internal/plan"
 	"neutronsim/internal/rng"
 	"neutronsim/internal/spectrum"
@@ -43,30 +46,6 @@ type Dataset struct {
 	CalSamples int    `json:"cal_samples"`
 	Seed       uint64 `json:"seed"`
 	Rows       []Row  `json:"rows"`
-}
-
-// NewDataset starts an empty dataset with the standard feature layout.
-func NewDataset(calSamples int, seed uint64) *Dataset {
-	return &Dataset{
-		Version:      DataVersion,
-		FeatureNames: append([]string(nil), FeatureNames...),
-		CalSamples:   calSamples,
-		Seed:         seed,
-	}
-}
-
-// Add appends one observation, building its feature vector from the
-// design point, the spectrum, and the estimator's bias factors.
-func (ds *Dataset) Add(boronPerCm2, qcritFC float64, sp spectrum.Spectrum, bias plan.Bias, sigmaCm2 float64) {
-	fp, _ := SpectrumFingerprint(sp)
-	ds.Rows = append(ds.Rows, Row{
-		Features:            FeatureVector(boronPerCm2, qcritFC, sp, bias),
-		SigmaCm2:            sigmaCm2,
-		Spectrum:            sp.Name(),
-		SpectrumFingerprint: fp,
-		BoronPerCm2:         boronPerCm2,
-		QcritFC:             qcritFC,
-	})
 }
 
 // Fingerprint is the content hash of the training data: the dataset
@@ -437,9 +416,8 @@ func cholSolve(m [][]float64, b []float64) ([]float64, bool) {
 	return x, true
 }
 
-// GridConfig describes a training grid: the same log-spaced design
-// lattice cmd/sweep maps, evaluated with the exact estimator on both
-// beamlines.
+// GridConfig describes a design-space grid: the log-spaced
+// (boron, Qcrit) lattice cmd/sweep maps, evaluated on both beamlines.
 type GridConfig struct {
 	BoronMin, BoronMax float64
 	BoronSteps         int
@@ -448,6 +426,14 @@ type GridConfig struct {
 	// Samples is the Monte Carlo energy budget per cross section.
 	Samples int
 	Seed    uint64
+	// Bias switches every point to the importance-sampled estimator
+	// (see DesignSigma); nil is the exact estimator. The factors enter
+	// every row's features.
+	Bias *plan.Bias
+	// Workers caps how many design points evaluate concurrently; <= 1
+	// evaluates serially on the caller's goroutine. It never affects
+	// the dataset.
+	Workers int
 }
 
 // DefaultGrid is the stock training grid for benches, CI retrains and
@@ -463,11 +449,21 @@ func DefaultGrid() GridConfig {
 	}
 }
 
-// EvaluateGrid runs the exact design-space estimator over the grid and
-// returns the dataset: per point, σ_thermal against ROTAX then σ_fast
-// against ChipIR, from a per-point split stream exactly as cmd/sweep
-// evaluates them. The traversal order is fixed, so the dataset — and
-// every model trained from it — is a pure function of the config.
+// logStep is the i-th of steps log-spaced values from lo to hi; a
+// single step sits at lo.
+func logStep(lo, hi float64, steps, i int) float64 {
+	if steps == 1 {
+		return lo
+	}
+	return lo * math.Exp(math.Log(hi/lo)*float64(i)/float64(steps-1))
+}
+
+// EvaluateGrid estimates σ at every grid point with DesignSigma and
+// returns the dataset: points in boron-major order, two rows each,
+// σ_thermal against ROTAX then σ_fast against ChipIR. Point i draws both
+// estimates from the i-th stream split off rng.New(Seed), so the dataset
+// — and every model trained from it — is a pure function of the config,
+// whatever Workers.
 func EvaluateGrid(cfg GridConfig) (*Dataset, error) {
 	if cfg.BoronMin <= 0 || cfg.BoronMax < cfg.BoronMin || cfg.BoronSteps < 1 {
 		return nil, fmt.Errorf("surrogate: invalid boron grid")
@@ -478,30 +474,67 @@ func EvaluateGrid(cfg GridConfig) (*Dataset, error) {
 	if cfg.Samples <= 0 {
 		return nil, fmt.Errorf("surrogate: samples must be positive")
 	}
-	logStep := func(lo, hi float64, steps, i int) float64 {
-		if steps == 1 {
-			return lo
+	var bias plan.Bias
+	if cfg.Bias != nil {
+		if err := cfg.Bias.Validate(); err != nil {
+			return nil, err
 		}
-		return lo * math.Exp(math.Log(hi/lo)*float64(i)/float64(steps-1))
+		bias = *cfg.Bias
 	}
-	ds := NewDataset(cfg.Samples, cfg.Seed)
-	rotax := spectrum.ROTAX()
-	chip := spectrum.ChipIR()
+	n := cfg.BoronSteps * cfg.QcritSteps
 	root := rng.New(cfg.Seed)
-	for bi := 0; bi < cfg.BoronSteps; bi++ {
-		for qi := 0; qi < cfg.QcritSteps; qi++ {
-			boron := logStep(cfg.BoronMin, cfg.BoronMax, cfg.BoronSteps, bi)
-			qcrit := logStep(cfg.QcritMin, cfg.QcritMax, cfg.QcritSteps, qi)
-			d := DesignDevice(boron, qcrit)
-			s := root.Split()
-			for _, sp := range []spectrum.Spectrum{rotax, chip} {
-				sigma, err := d.UpsetCrossSection(sp.Sample, cfg.Samples, s)
-				if err != nil {
-					return nil, err
-				}
-				ds.Add(boron, qcrit, sp, plan.Bias{}, float64(sigma))
+	streams := make([]*rng.Stream, n)
+	for i := range streams {
+		streams[i] = root.Split()
+	}
+	spectra := [2]spectrum.Spectrum{spectrum.ROTAX(), spectrum.ChipIR()}
+	start := time.Now()
+	points, err := engine.Map(context.Background(), engine.Config{
+		Workers:   max(cfg.Workers, 1),
+		Grain:     1,
+		Name:      "grid",
+		StreamFor: func(i int) *rng.Stream { return streams[i] },
+		OnShardDone: func(_ engine.Shard, done, total int) {
+			telemetry.ReportProgress(telemetry.ProgressUpdate{
+				Component: "grid",
+				Done:      float64(done),
+				Total:     float64(total),
+				Elapsed:   time.Since(start),
+			})
+		},
+	}, n, 1, func(_ context.Context, sh engine.Shard) ([2]Row, error) {
+		boron := logStep(cfg.BoronMin, cfg.BoronMax, cfg.BoronSteps, sh.Index/cfg.QcritSteps)
+		qcrit := logStep(cfg.QcritMin, cfg.QcritMax, cfg.QcritSteps, sh.Index%cfg.QcritSteps)
+		var rows [2]Row
+		for j, sp := range spectra {
+			sigma, err := DesignSigma(boron, qcrit, sp, cfg.Samples, sh.Stream, cfg.Bias)
+			if err != nil {
+				return rows, err
+			}
+			fp, _ := SpectrumFingerprint(sp)
+			rows[j] = Row{
+				Features:            FeatureVector(boron, qcrit, sp, bias),
+				SigmaCm2:            sigma,
+				Spectrum:            sp.Name(),
+				SpectrumFingerprint: fp,
+				BoronPerCm2:         boron,
+				QcritFC:             qcrit,
 			}
 		}
+		return rows, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	ds := &Dataset{
+		Version:      DataVersion,
+		FeatureNames: append([]string(nil), FeatureNames...),
+		CalSamples:   cfg.Samples,
+		Seed:         cfg.Seed,
+		Rows:         make([]Row, 0, 2*n),
+	}
+	for _, rows := range points {
+		ds.Rows = append(ds.Rows, rows[:]...)
 	}
 	return ds, nil
 }
