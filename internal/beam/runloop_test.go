@@ -15,8 +15,8 @@ import (
 // the run loop" acceptance criterion: a steady-state beam run — Poisson
 // draw, alias energy draws, device physics, fault bookkeeping — must not
 // touch the heap. The quiet device keeps the critical charge above any
-// possible deposit so the measurement isolates the sampling path (upset
-// runs replay the workload, which legitimately allocates its output copy).
+// possible deposit so the first two blocks isolate the sampling path; the
+// upset-heavy blocks then hold fault-injection replay to the same gate.
 func TestRunLoopZeroAllocs(t *testing.T) {
 	cfg := Config{
 		Device:       benchQuietDevice(),
@@ -61,6 +61,43 @@ func TestRunLoopZeroAllocs(t *testing.T) {
 	}
 	if wr.tc.w.draws.N == 0 {
 		t.Fatal("weighted run loop drew no interactions; the measurement exercised nothing")
+	}
+
+	// Upset runs restore a golden checkpoint into the workload's live
+	// buffers and compare its output in a reused buffer (DESIGN.md §18),
+	// so an upset-heavy device replays without allocating, exact and
+	// weighted alike.
+	heavy := cfg
+	heavy.Device = device.K20()
+	heavy.Device.SensitiveFraction = 0.5
+	hpl := plan.Compile(heavy.Device, heavy.Beam, 20000, rng.New(1))
+	hbpl, err := plan.CompileBiased(heavy.Device, heavy.Beam, 20000, rng.New(1), plan.Bias{Thermal: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		pl   *plan.CampaignPlan
+		run  func(*shardRunner)
+	}{
+		{"upset-heavy", hpl, func(r *shardRunner) { r.runBlock(runBatchSize) }},
+		{"upset-heavy weighted", hbpl, func(r *shardRunner) { r.runBlockWeighted(runBatchSize) }},
+	} {
+		hr, err := newShardRunner(heavy, engine.Shard{Index: 0, Count: 1, Stream: rng.New(5)}, c.pl, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hblock := func() { c.run(hr) }
+		for i := 0; i < 4; i++ {
+			hblock()
+		}
+		if avg := testing.AllocsPerRun(20, hblock); avg != 0 {
+			t.Errorf("%s run loop allocates %.2f times per %d-run block, want 0", c.name, avg, runBatchSize)
+		}
+		if hr.tc.upsets == 0 || hr.tc.sdc == 0 {
+			t.Fatalf("%s run loop saw %d upsets and %d SDCs; the measurement replayed nothing",
+				c.name, hr.tc.upsets, hr.tc.sdc)
+		}
 	}
 }
 

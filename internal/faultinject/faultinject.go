@@ -7,6 +7,8 @@ package faultinject
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"neutronsim/internal/device"
 	"neutronsim/internal/rng"
@@ -69,34 +71,91 @@ type Result struct {
 	FlippedBits int
 }
 
-// Injector caches a workload's golden output and repeatedly replays the
-// workload under injected faults. It is not safe for concurrent use; use
-// one Injector per goroutine.
+// Injector caches a workload's golden output and per-step checkpoints and
+// repeatedly replays the workload under injected faults. It is not safe
+// for concurrent use; use one Injector per goroutine.
 type Injector struct {
 	w      workload.Workload
-	seed   uint64
 	cfg    Config
+	steps  int
 	golden []float64
+	// checkpoints[i] is the golden State() before step i, and
+	// checkpoints[steps] the state after the last step. A buffer whose
+	// contents did not change since the previous boundary shares that
+	// boundary's copy, so read-only weights and graphs are stored once
+	// (DESIGN.md §18).
+	checkpoints [][]workload.Region
+	// out is the reused output buffer a replay compares against golden.
+	out []float64
 	// scratch is the reusable data-fault buffer for Run; keeping it on the
 	// injector makes repeated injections allocation-free once its capacity
 	// has grown to the campaign's fault-count high-water mark.
 	scratch []Timed
 }
 
-// NewInjector runs the workload once cleanly to capture the golden output.
+// NewInjector runs the workload once cleanly to capture the golden output
+// and the golden state before every step. The workload must have at
+// least one step.
 func NewInjector(w workload.Workload, seed uint64, cfg Config) (*Injector, error) {
 	if w == nil {
 		return nil, errors.New("faultinject: nil workload")
 	}
-	inj := &Injector{w: w, seed: seed, cfg: cfg.withDefaults()}
 	w.Reset(seed)
-	for i := 0; i < w.Steps(); i++ {
+	steps := w.Steps()
+	if steps < 1 {
+		return nil, fmt.Errorf("faultinject: workload %s has %d steps, need at least 1", w.Name(), steps)
+	}
+	inj := &Injector{w: w, cfg: cfg.withDefaults(), steps: steps}
+	inj.checkpoints = make([][]workload.Region, steps+1)
+	var prev []workload.Region
+	for i := 0; i < steps; i++ {
+		prev = checkpoint(w.State(), prev)
+		inj.checkpoints[i] = prev
 		if err := w.Step(i); err != nil {
 			return nil, fmt.Errorf("faultinject: golden run failed at step %d: %w", i, err)
 		}
 	}
-	inj.golden = w.Output()
+	inj.checkpoints[steps] = checkpoint(w.State(), prev)
+	inj.golden = w.AppendOutput(nil)
+	inj.out = make([]float64, 0, len(inj.golden))
 	return inj, nil
+}
+
+// checkpoint copies the live state, sharing prev's copy of every buffer
+// whose contents are bit-identical to it.
+func checkpoint(live, prev []workload.Region) []workload.Region {
+	ck := make([]workload.Region, len(live))
+	for r, l := range live {
+		if prev != nil && sameBits(l, prev[r]) {
+			ck[r] = prev[r]
+			continue
+		}
+		ck[r] = workload.Region{Name: l.Name, F64: slices.Clone(l.F64), U32: slices.Clone(l.U32)}
+	}
+	return ck
+}
+
+// sameBits reports whether two buffers hold bit-identical words.
+func sameBits(a, b workload.Region) bool {
+	if len(a.F64) != len(b.F64) || !slices.Equal(a.U32, b.U32) {
+		return false
+	}
+	for i, v := range a.F64 {
+		if math.Float64bits(v) != math.Float64bits(b.F64[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// restore copies checkpoint i into the workload's live buffers, leaving
+// it exactly as the golden run was before step i.
+func (inj *Injector) restore(i int) {
+	for r, l := range inj.w.State() {
+		ck := inj.checkpoints[i][r]
+		copy(l.F64, ck.F64)
+		copy(l.U32, ck.U32)
+	}
 }
 
 // Golden returns a copy of the fault-free output.
@@ -108,7 +167,9 @@ func (inj *Injector) Golden() []float64 {
 func (inj *Injector) Workload() workload.Workload { return inj.w }
 
 // Run replays the workload, injecting each fault before its step, and
-// classifies the outcome.
+// classifies the outcome. The replay resumes from the golden checkpoint
+// before the first data fault's step: every earlier step is fault-free
+// and would reproduce that checkpoint exactly.
 func (inj *Injector) Run(faults []Timed, s *rng.Stream) Result {
 	// Control-logic faults act at the architecture level, independent of
 	// the program state: each takes the run down with ControlDUEProb.
@@ -133,11 +194,14 @@ func (inj *Injector) Run(faults []Timed, s *rng.Stream) Result {
 			dataFaults[j], dataFaults[j-1] = dataFaults[j-1], dataFaults[j]
 		}
 	}
-	inj.w.Reset(inj.seed)
-	steps := inj.w.Steps()
+	// clampStep maps every fault into [0, steps-1], so the loop applies
+	// all of them.
+	steps := inj.steps
+	start := clampStep(dataFaults[0].Step, steps)
+	inj.restore(start)
 	flipped := 0
 	next := 0
-	for i := 0; i < steps; i++ {
+	for i := start; i < steps; i++ {
 		for next < len(dataFaults) && clampStep(dataFaults[next].Step, steps) == i {
 			flipped += inj.apply(dataFaults[next].Fault, s)
 			next++
@@ -146,16 +210,12 @@ func (inj *Injector) Run(faults []Timed, s *rng.Stream) Result {
 			return Result{Outcome: OutcomeDUE, Err: err, FlippedBits: flipped}
 		}
 	}
-	// Late faults (scheduled at or beyond the last step boundary).
-	for ; next < len(dataFaults); next++ {
-		flipped += inj.apply(dataFaults[next].Fault, s)
-	}
-	out := inj.w.Output()
-	if len(out) != len(inj.golden) {
+	inj.out = inj.w.AppendOutput(inj.out[:0])
+	if len(inj.out) != len(inj.golden) {
 		return Result{Outcome: OutcomeSDC, FlippedBits: flipped}
 	}
-	for i := range out {
-		if out[i] != inj.golden[i] {
+	for i, v := range inj.out {
+		if v != inj.golden[i] {
 			return Result{Outcome: OutcomeSDC, FlippedBits: flipped}
 		}
 	}

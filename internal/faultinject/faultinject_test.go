@@ -8,7 +8,7 @@ import (
 	"neutronsim/internal/workload"
 )
 
-func newInjector(t *testing.T, name string) *Injector {
+func newInjector(t testing.TB, name string) *Injector {
 	t.Helper()
 	w, err := workload.New(name)
 	if err != nil {

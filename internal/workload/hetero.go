@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // SC -------------------------------------------------------------------------
@@ -10,12 +11,13 @@ import (
 // SC is stream compaction, the paper's memory-bound data-manipulation
 // primitive: it removes the elements failing a predicate from an array.
 type SC struct {
-	n      int
-	chunks int
-	data   []float64
-	out    []float64
-	flags  []uint32
-	cursor []uint32 // [0] = write position; control state
+	n       int
+	chunks  int
+	data    []float64
+	out     []float64
+	flags   []uint32
+	cursor  []uint32 // [0] = write position; control state
+	regions []Region
 }
 
 // NewSC builds a stream-compaction workload over n elements.
@@ -23,7 +25,7 @@ func NewSC(n int) *SC {
 	if n < 16 {
 		n = 16
 	}
-	return &SC{
+	c := &SC{
 		n:      n,
 		chunks: 16,
 		data:   make([]float64, n),
@@ -31,6 +33,13 @@ func NewSC(n int) *SC {
 		flags:  make([]uint32, n),
 		cursor: make([]uint32, 1),
 	}
+	c.regions = []Region{
+		{Name: "data", F64: c.data},
+		{Name: "out", F64: c.out},
+		{Name: "flags", U32: c.flags},
+		{Name: "cursor", U32: c.cursor},
+	}
+	return c
 }
 
 // Name implements Workload.
@@ -86,23 +95,17 @@ func (c *SC) Step(i int) error {
 	return nil
 }
 
-// Output implements Workload: the compacted prefix plus the final count.
-func (c *SC) Output() []float64 {
-	out := make([]float64, c.n+1)
-	copy(out, c.out)
-	out[c.n] = float64(c.cursor[0])
-	return out
+// AppendOutput implements Workload: the compacted prefix plus the final
+// count.
+func (c *SC) AppendOutput(dst []float64) []float64 {
+	return append(append(dst, c.out...), float64(c.cursor[0]))
 }
 
 // Regions implements Workload.
-func (c *SC) Regions() []Region {
-	return []Region{
-		{Name: "data", F64: c.data},
-		{Name: "out", F64: c.out},
-		{Name: "flags", U32: c.flags},
-		{Name: "cursor", U32: c.cursor},
-	}
-}
+func (c *SC) Regions() []Region { return c.regions }
+
+// State implements Workload: every buffer is injectable.
+func (c *SC) State() []Region { return c.regions }
 
 // CED ------------------------------------------------------------------------
 
@@ -110,11 +113,12 @@ func (c *SC) Regions() []Region {
 // Sobel gradients, and hysteresis-free thresholding. The paper runs it
 // concurrently on the APU's CPU and GPU.
 type CED struct {
-	n     int
-	img   []float64
-	blur  []float64
-	grad  []float64
-	edges []float64
+	n       int
+	img     []float64
+	blur    []float64
+	grad    []float64
+	edges   []float64
+	regions []Region
 }
 
 // NewCED builds an n×n edge-detection workload.
@@ -122,13 +126,20 @@ func NewCED(n int) *CED {
 	if n < 8 {
 		n = 8
 	}
-	return &CED{
+	c := &CED{
 		n:     n,
 		img:   make([]float64, n*n),
 		blur:  make([]float64, n*n),
 		grad:  make([]float64, n*n),
 		edges: make([]float64, n*n),
 	}
+	c.regions = []Region{
+		{Name: "frame", F64: c.img},
+		{Name: "blur", F64: c.blur},
+		{Name: "gradient", F64: c.grad},
+		{Name: "edges", F64: c.edges},
+	}
+	return c
 }
 
 // Name implements Workload.
@@ -207,18 +218,14 @@ func (c *CED) Step(i int) error {
 	return nil
 }
 
-// Output implements Workload.
-func (c *CED) Output() []float64 { return append([]float64(nil), c.edges...) }
+// AppendOutput implements Workload.
+func (c *CED) AppendOutput(dst []float64) []float64 { return append(dst, c.edges...) }
 
 // Regions implements Workload.
-func (c *CED) Regions() []Region {
-	return []Region{
-		{Name: "frame", F64: c.img},
-		{Name: "blur", F64: c.blur},
-		{Name: "gradient", F64: c.grad},
-		{Name: "edges", F64: c.edges},
-	}
-}
+func (c *CED) Regions() []Region { return c.regions }
+
+// State implements Workload: every buffer is injectable.
+func (c *CED) State() []Region { return c.regions }
 
 // BFS ------------------------------------------------------------------------
 
@@ -235,6 +242,7 @@ type BFS struct {
 	edges   []uint32 // CSR targets
 	dist    []uint32
 	levels  int
+	regions []Region
 }
 
 // NewBFS builds a BFS workload over n nodes with the given average degree.
@@ -245,7 +253,7 @@ func NewBFS(n, degree int) *BFS {
 	if degree < 2 {
 		degree = 2
 	}
-	return &BFS{
+	b := &BFS{
 		n:       n,
 		degree:  degree,
 		offsets: make([]uint32, n+1),
@@ -253,6 +261,12 @@ func NewBFS(n, degree int) *BFS {
 		dist:    make([]uint32, n),
 		levels:  64,
 	}
+	b.regions = []Region{
+		{Name: "offsets", U32: b.offsets},
+		{Name: "edges", U32: b.edges},
+		{Name: "dist", U32: b.dist},
+	}
+	return b
 }
 
 // Name implements Workload.
@@ -312,20 +326,17 @@ func (b *BFS) Step(i int) error {
 	return nil
 }
 
-// Output implements Workload.
-func (b *BFS) Output() []float64 {
-	out := make([]float64, b.n)
-	for i, d := range b.dist {
-		out[i] = float64(d)
+// AppendOutput implements Workload.
+func (b *BFS) AppendOutput(dst []float64) []float64 {
+	dst = slices.Grow(dst, len(b.dist))
+	for _, d := range b.dist {
+		dst = append(dst, float64(d))
 	}
-	return out
+	return dst
 }
 
 // Regions implements Workload.
-func (b *BFS) Regions() []Region {
-	return []Region{
-		{Name: "offsets", U32: b.offsets},
-		{Name: "edges", U32: b.edges},
-		{Name: "dist", U32: b.dist},
-	}
-}
+func (b *BFS) Regions() []Region { return b.regions }
+
+// State implements Workload: every buffer is injectable.
+func (b *BFS) State() []Region { return b.regions }

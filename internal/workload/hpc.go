@@ -12,6 +12,7 @@ import (
 type MxM struct {
 	n       int
 	a, b, c []float64
+	regions []Region
 }
 
 // NewMxM builds an n×n matrix multiplication workload.
@@ -19,12 +20,18 @@ func NewMxM(n int) *MxM {
 	if n < 2 {
 		n = 2
 	}
-	return &MxM{
+	m := &MxM{
 		n: n,
 		a: make([]float64, n*n),
 		b: make([]float64, n*n),
 		c: make([]float64, n*n),
 	}
+	m.regions = []Region{
+		{Name: "A", F64: m.a},
+		{Name: "B", F64: m.b},
+		{Name: "C", F64: m.c},
+	}
+	return m
 }
 
 // Name implements Workload.
@@ -62,25 +69,23 @@ func (m *MxM) Step(i int) error {
 	return nil
 }
 
-// Output implements Workload.
-func (m *MxM) Output() []float64 { return append([]float64(nil), m.c...) }
+// AppendOutput implements Workload.
+func (m *MxM) AppendOutput(dst []float64) []float64 { return append(dst, m.c...) }
 
 // Regions implements Workload.
-func (m *MxM) Regions() []Region {
-	return []Region{
-		{Name: "A", F64: m.a},
-		{Name: "B", F64: m.b},
-		{Name: "C", F64: m.c},
-	}
-}
+func (m *MxM) Regions() []Region { return m.regions }
+
+// State implements Workload: every buffer is injectable.
+func (m *MxM) State() []Region { return m.regions }
 
 // LUD ------------------------------------------------------------------------
 
 // LUD performs an in-place Doolittle LU decomposition of a symmetric
 // positive-definite matrix — the paper's dense linear-solver kernel.
 type LUD struct {
-	n int
-	m []float64
+	n       int
+	m       []float64
+	regions []Region
 }
 
 // NewLUD builds an n×n decomposition workload.
@@ -88,7 +93,9 @@ func NewLUD(n int) *LUD {
 	if n < 2 {
 		n = 2
 	}
-	return &LUD{n: n, m: make([]float64, n*n)}
+	l := &LUD{n: n, m: make([]float64, n*n)}
+	l.regions = []Region{{Name: "M", F64: l.m}}
+	return l
 }
 
 // Name implements Workload.
@@ -144,13 +151,14 @@ func (l *LUD) Step(i int) error {
 	return nil
 }
 
-// Output implements Workload.
-func (l *LUD) Output() []float64 { return append([]float64(nil), l.m...) }
+// AppendOutput implements Workload.
+func (l *LUD) AppendOutput(dst []float64) []float64 { return append(dst, l.m...) }
 
 // Regions implements Workload.
-func (l *LUD) Regions() []Region {
-	return []Region{{Name: "M", F64: l.m}}
-}
+func (l *LUD) Regions() []Region { return l.regions }
+
+// State implements Workload: the matrix is the whole state.
+func (l *LUD) State() []Region { return l.regions }
 
 // LavaMD ---------------------------------------------------------------------
 
@@ -164,6 +172,7 @@ type LavaMD struct {
 	force     []float64
 	neighbors []uint32 // per box: indices of neighbor boxes (27 each, self included)
 	perBox    int
+	regions   []Region
 }
 
 // NewLavaMD builds a dim³-box simulation with p particles per box.
@@ -175,7 +184,7 @@ func NewLavaMD(dim, p int) *LavaMD {
 		p = 1
 	}
 	boxes := dim * dim * dim
-	return &LavaMD{
+	l := &LavaMD{
 		dim:       dim,
 		particles: p,
 		pos:       make([]float64, 3*boxes*p),
@@ -184,6 +193,13 @@ func NewLavaMD(dim, p int) *LavaMD {
 		neighbors: make([]uint32, boxes*27),
 		perBox:    27,
 	}
+	l.regions = []Region{
+		{Name: "positions", F64: l.pos},
+		{Name: "charges", F64: l.charge},
+		{Name: "forces", F64: l.force},
+		{Name: "neighbors", U32: l.neighbors},
+	}
+	return l
 }
 
 // Name implements Workload.
@@ -277,18 +293,14 @@ func (l *LavaMD) Step(i int) error {
 	return nil
 }
 
-// Output implements Workload.
-func (l *LavaMD) Output() []float64 { return append([]float64(nil), l.force...) }
+// AppendOutput implements Workload.
+func (l *LavaMD) AppendOutput(dst []float64) []float64 { return append(dst, l.force...) }
 
 // Regions implements Workload.
-func (l *LavaMD) Regions() []Region {
-	return []Region{
-		{Name: "positions", F64: l.pos},
-		{Name: "charges", F64: l.charge},
-		{Name: "forces", F64: l.force},
-		{Name: "neighbors", U32: l.neighbors},
-	}
-}
+func (l *LavaMD) Regions() []Region { return l.regions }
+
+// State implements Workload: every buffer is injectable.
+func (l *LavaMD) State() []Region { return l.regions }
 
 // HotSpot --------------------------------------------------------------------
 
@@ -300,6 +312,7 @@ type HotSpot struct {
 	temp       []float64
 	next       []float64
 	power      []float64
+	regions    []Region // [0] tracks temp across the buffer swap
 }
 
 // NewHotSpot builds an n×n grid solved for the given iteration count.
@@ -310,13 +323,18 @@ func NewHotSpot(n, iterations int) *HotSpot {
 	if iterations < 1 {
 		iterations = 1
 	}
-	return &HotSpot{
+	h := &HotSpot{
 		n:          n,
 		iterations: iterations,
 		temp:       make([]float64, n*n),
 		next:       make([]float64, n*n),
 		power:      make([]float64, n*n),
 	}
+	h.regions = []Region{
+		{Name: "temperature", F64: h.temp},
+		{Name: "power", F64: h.power},
+	}
+	return h
 }
 
 // Name implements Workload.
@@ -367,16 +385,16 @@ func (h *HotSpot) Step(i int) error {
 		}
 	}
 	h.temp, h.next = h.next, h.temp
+	h.regions[0].F64 = h.temp
 	return nil
 }
 
-// Output implements Workload.
-func (h *HotSpot) Output() []float64 { return append([]float64(nil), h.temp...) }
+// AppendOutput implements Workload.
+func (h *HotSpot) AppendOutput(dst []float64) []float64 { return append(dst, h.temp...) }
 
 // Regions implements Workload.
-func (h *HotSpot) Regions() []Region {
-	return []Region{
-		{Name: "temperature", F64: h.temp},
-		{Name: "power", F64: h.power},
-	}
-}
+func (h *HotSpot) Regions() []Region { return h.regions }
+
+// State implements Workload. The next buffer is scratch that every step
+// fully overwrites before the swap, so it is not state.
+func (h *HotSpot) State() []Region { return h.regions }

@@ -3,17 +3,8 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 )
-
-// convNet is the shared machinery of the two CNN-ish workloads. Weights
-// and activations are plain slices so the injector can flip bits in them —
-// faults in weights model configuration/parameter memory corruption,
-// faults in activations model datapath strikes.
-type convNet struct {
-	in, act1, act2, act3 []float64
-	dense                []float64
-	out                  []float64
-}
 
 // YOLO is a miniature object-detection network: two convolution+pool
 // blocks feeding a detection head. It stands in for the YOLOv2 CNN the
@@ -21,6 +12,10 @@ type convNet struct {
 // follows the paper's criterion for CNNs: the detected class and its
 // (quantized) confidence, not bit-exact tensors — CNNs mask most small
 // numerical upsets.
+//
+// Weights and activations are plain slices so the injector can flip bits
+// in them: faults in weights model configuration/parameter memory
+// corruption, faults in activations model datapath strikes.
 type YOLO struct {
 	size    int // input edge (32)
 	classes int
@@ -33,13 +28,17 @@ type YOLO struct {
 	a2      []float64 // 16×16×16
 	p2      []float64 // 8×8×16
 	scores  []float64
+	// regions are the fault targets; state adds pool1 and the scores,
+	// which later stages read but which were never injectable (adding
+	// them to regions would change every fault's word draw).
+	regions, state []Region
 }
 
 // NewYOLO builds the detection network.
 func NewYOLO() *YOLO {
 	const size, c1, c2, classes = 32, 8, 16, 10
 	half, quarter := size/2, size/4
-	return &YOLO{
+	y := &YOLO{
 		size:    size,
 		classes: classes,
 		conv1:   make([]float64, c1*3*3),
@@ -52,6 +51,19 @@ func NewYOLO() *YOLO {
 		p2:      make([]float64, quarter*quarter*c2),
 		scores:  make([]float64, classes),
 	}
+	y.regions = []Region{
+		{Name: "frame", F64: y.in},
+		{Name: "conv1.w", F64: y.conv1},
+		{Name: "conv2.w", F64: y.conv2},
+		{Name: "head.w", F64: y.dense},
+		{Name: "act1", F64: y.a1},
+		{Name: "act2", F64: y.a2},
+		{Name: "pool2", F64: y.p2},
+	}
+	y.state = append(y.regions[:len(y.regions):len(y.regions)],
+		Region{Name: "pool1", F64: y.p1},
+		Region{Name: "scores", F64: y.scores})
+	return y
 }
 
 // Name implements Workload.
@@ -127,22 +139,16 @@ func (y *YOLO) Step(i int) error {
 	return nil
 }
 
-// Output implements Workload: argmax class plus per-class confidences
-// quantized to 0.01 (the paper-style detection-correctness criterion).
-func (y *YOLO) Output() []float64 { return detectionOutput(y.scores) }
+// AppendOutput implements Workload: argmax class plus per-class
+// confidences quantized to 0.01 (the paper-style detection-correctness
+// criterion).
+func (y *YOLO) AppendOutput(dst []float64) []float64 { return appendDetection(dst, y.scores) }
 
 // Regions implements Workload.
-func (y *YOLO) Regions() []Region {
-	return []Region{
-		{Name: "frame", F64: y.in},
-		{Name: "conv1.w", F64: y.conv1},
-		{Name: "conv2.w", F64: y.conv2},
-		{Name: "head.w", F64: y.dense},
-		{Name: "act1", F64: y.a1},
-		{Name: "act2", F64: y.a2},
-		{Name: "pool2", F64: y.p2},
-	}
-}
+func (y *YOLO) Regions() []Region { return y.regions }
+
+// State implements Workload.
+func (y *YOLO) State() []Region { return y.state }
 
 // MNIST is a small fully connected classifier for handwritten digits; the
 // paper runs it on the FPGA, where it is large enough to exercise the
@@ -155,12 +161,15 @@ type MNIST struct {
 	in     []float64
 	h      []float64
 	scores []float64
+	// state adds the scores, which the softmax step reads but which were
+	// never injectable, to the fault-target regions.
+	regions, state []Region
 }
 
 // NewMNIST builds the classifier.
 func NewMNIST() *MNIST {
 	const size, hidden, classes = 16, 64, 10
-	return &MNIST{
+	m := &MNIST{
 		size:   size,
 		hidden: hidden,
 		w1:     make([]float64, hidden*size*size),
@@ -169,6 +178,15 @@ func NewMNIST() *MNIST {
 		h:      make([]float64, hidden),
 		scores: make([]float64, classes),
 	}
+	m.regions = []Region{
+		{Name: "digit", F64: m.in},
+		{Name: "w1", F64: m.w1},
+		{Name: "w2", F64: m.w2},
+		{Name: "hidden", F64: m.h},
+	}
+	m.state = append(m.regions[:len(m.regions):len(m.regions)],
+		Region{Name: "scores", F64: m.scores})
+	return m
 }
 
 // Name implements Workload.
@@ -226,35 +244,45 @@ func (m *MNIST) Step(i int) error {
 	return nil
 }
 
-// Output implements Workload (same detection criterion as YOLO).
-func (m *MNIST) Output() []float64 { return detectionOutput(m.scores) }
+// AppendOutput implements Workload (same detection criterion as YOLO).
+func (m *MNIST) AppendOutput(dst []float64) []float64 { return appendDetection(dst, m.scores) }
 
 // Regions implements Workload.
-func (m *MNIST) Regions() []Region {
-	return []Region{
-		{Name: "digit", F64: m.in},
-		{Name: "w1", F64: m.w1},
-		{Name: "w2", F64: m.w2},
-		{Name: "hidden", F64: m.h},
-	}
-}
+func (m *MNIST) Regions() []Region { return m.regions }
+
+// State implements Workload.
+func (m *MNIST) State() []Region { return m.state }
 
 // Shared NN primitives -------------------------------------------------------
 
 // conv2D applies chOut 3×3 filters over a chIn-channel square input with
 // clamped borders, writing chOut feature maps; relu optionally rectifies.
+//
+// The clamped row and column offsets are computed once per output pixel.
+// The nine taps stay separate `sum +=` statements in ci→dy→dx order: the
+// same float operations, in the same order and the same x*y+z shape, as a
+// plain ci/dy/dx loop nest, so the result is bit-identical to it whether
+// or not the compiler fuses multiply-adds (DESIGN.md §18).
 func conv2D(in []float64, n, chIn int, w []float64, chOut int, out []float64, relu bool) {
+	plane := n * n
 	for co := 0; co < chOut; co++ {
 		for y := 0; y < n; y++ {
+			r0, r1, r2 := clamp(y-1, n)*n, y*n, clamp(y+1, n)*n
 			for x := 0; x < n; x++ {
+				c0, c1, c2 := clamp(x-1, n), x, clamp(x+1, n)
 				sum := 0.0
 				for ci := 0; ci < chIn; ci++ {
-					for dy := -1; dy <= 1; dy++ {
-						for dx := -1; dx <= 1; dx++ {
-							wi := ((co*chIn+ci)*3+(dy+1))*3 + (dx + 1)
-							sum += w[wi] * in[(ci*n+clamp(y+dy, n))*n+clamp(x+dx, n)]
-						}
-					}
+					k := w[(co*chIn+ci)*9:][:9]
+					p := in[ci*plane:][:plane]
+					sum += k[0] * p[r0+c0]
+					sum += k[1] * p[r0+c1]
+					sum += k[2] * p[r0+c2]
+					sum += k[3] * p[r1+c0]
+					sum += k[4] * p[r1+c1]
+					sum += k[5] * p[r1+c2]
+					sum += k[6] * p[r2+c0]
+					sum += k[7] * p[r2+c1]
+					sum += k[8] * p[r2+c2]
 				}
 				if relu && sum < 0 {
 					sum = 0
@@ -321,17 +349,18 @@ func softmax(scores []float64) {
 	}
 }
 
-// detectionOutput builds the CNN correctness signature: argmax first, then
-// confidences quantized to 0.01.
-func detectionOutput(scores []float64) []float64 {
-	out := make([]float64, len(scores)+1)
+// appendDetection appends the CNN correctness signature to dst: argmax
+// first, then confidences quantized to 0.01.
+func appendDetection(dst, scores []float64) []float64 {
 	best := 0
 	for i, v := range scores {
 		if v > scores[best] {
 			best = i
 		}
-		out[i+1] = math.Round(v*100) / 100
 	}
-	out[0] = float64(best)
-	return out
+	dst = append(slices.Grow(dst, len(scores)+1), float64(best))
+	for _, v := range scores {
+		dst = append(dst, math.Round(v*100)/100)
+	}
+	return dst
 }

@@ -63,12 +63,25 @@ type Workload interface {
 	// Step runs step i (0-based). It may return ErrHang or
 	// ErrCorruptState when injected faults break control flow.
 	Step(i int) error
-	// Output returns a copy of the result signature used for golden
-	// comparison. For the CNNs this is the quantized detection output
-	// (class + confidence), matching how the paper judges CNN correctness.
-	Output() []float64
-	// Regions exposes the mutable state for fault injection.
+	// AppendOutput appends the result signature used for golden
+	// comparison to dst and returns the extended slice, so a caller that
+	// compares many runs reuses one buffer. For the CNNs this is the
+	// quantized detection output (class + confidence), matching how the
+	// paper judges CNN correctness.
+	AppendOutput(dst []float64) []float64
+	// Regions exposes the mutable state for fault injection. The slice
+	// is cached by the kernel (no allocation per call) and must not be
+	// modified; its words are the injector's fault targets, so adding a
+	// region changes every fault's word draw.
 	Regions() []Region
+	// State returns every buffer that a later Step or AppendOutput
+	// reads: Regions() plus any internal buffer that is not a fault
+	// target. Copying State() out before step i and back in later
+	// resumes the run at step i exactly (the injector's checkpoints
+	// rely on it). Buffers every step fully overwrites before reading
+	// may be left out. Like Regions, the slice is cached and must not
+	// be modified; the order and lengths of its entries never change.
+	State() []Region
 }
 
 // Region is one injectable memory region. Exactly one of F64 or U32 is

@@ -16,7 +16,7 @@ func runAll(t *testing.T, w Workload, seed uint64) []float64 {
 			t.Fatalf("%s step %d: %v", w.Name(), i, err)
 		}
 	}
-	return w.Output()
+	return w.AppendOutput(nil)
 }
 
 func TestRegistryCoversAllNames(t *testing.T) {
@@ -113,6 +113,115 @@ func TestRegionsNonEmpty(t *testing.T) {
 			}
 			if (r.F64 == nil) == (r.U32 == nil) {
 				t.Errorf("%s region %q must have exactly one backing slice", name, r.Name)
+			}
+		}
+	}
+}
+
+func TestStateCoversRegions(t *testing.T) {
+	for _, name := range Names() {
+		w, _ := New(name)
+		w.Reset(1)
+		state := w.State()
+		names := map[string]bool{}
+		for _, r := range state {
+			if names[r.Name] {
+				t.Errorf("%s state has two buffers named %q", name, r.Name)
+			}
+			names[r.Name] = true
+			if (r.F64 == nil) == (r.U32 == nil) {
+				t.Errorf("%s state %q must have exactly one backing slice", name, r.Name)
+			}
+		}
+		// Every region is a state buffer backed by the same memory.
+		for _, r := range w.Regions() {
+			found := false
+			for _, st := range state {
+				if st.Name == r.Name && st.Words() == r.Words() &&
+					((r.F64 != nil && &st.F64[0] == &r.F64[0]) || (r.U32 != nil && &st.U32[0] == &r.U32[0])) {
+					found = true
+				}
+			}
+			if !found {
+				t.Errorf("%s region %q is missing from State()", name, r.Name)
+			}
+		}
+	}
+}
+
+func TestRegionsStateOutputDoNotAllocate(t *testing.T) {
+	for _, name := range Names() {
+		w, _ := New(name)
+		out := runAll(t, w, 3)
+		if avg := testing.AllocsPerRun(10, func() {
+			_ = w.Regions()
+			_ = w.State()
+			out = w.AppendOutput(out[:0])
+		}); avg != 0 {
+			t.Errorf("%s: Regions/State/AppendOutput allocate %.1f times per call", name, avg)
+		}
+	}
+}
+
+func TestAppendOutputAppends(t *testing.T) {
+	for _, name := range Names() {
+		w, _ := New(name)
+		out := runAll(t, w, 5)
+		got := w.AppendOutput([]float64{-7})
+		if len(got) != len(out)+1 || got[0] != -7 {
+			t.Fatalf("%s: AppendOutput did not keep the prefix", name)
+		}
+		for i := range out {
+			if math.Float64bits(got[i+1]) != math.Float64bits(out[i]) {
+				t.Fatalf("%s: appended output differs at %d", name, i)
+			}
+		}
+	}
+}
+
+// conv2DReference is the plain five-deep loop nest conv2D replaced; the
+// rewrite must match it bit for bit.
+func conv2DReference(in []float64, n, chIn int, w []float64, chOut int, out []float64, relu bool) {
+	for co := 0; co < chOut; co++ {
+		for y := 0; y < n; y++ {
+			for x := 0; x < n; x++ {
+				sum := 0.0
+				for ci := 0; ci < chIn; ci++ {
+					for dy := -1; dy <= 1; dy++ {
+						for dx := -1; dx <= 1; dx++ {
+							wi := ((co*chIn+ci)*3+(dy+1))*3 + (dx + 1)
+							sum += w[wi] * in[(ci*n+clamp(y+dy, n))*n+clamp(x+dx, n)]
+						}
+					}
+				}
+				if relu && sum < 0 {
+					sum = 0
+				}
+				out[(co*n+y)*n+x] = sum
+			}
+		}
+	}
+}
+
+func TestConv2DMatchesReference(t *testing.T) {
+	g := splitmix(11)
+	for _, tc := range []struct{ n, chIn, chOut int }{{32, 1, 8}, {16, 8, 16}, {5, 3, 2}, {2, 2, 1}} {
+		in := make([]float64, tc.n*tc.n*tc.chIn)
+		w := make([]float64, tc.chOut*tc.chIn*9)
+		for i := range in {
+			in[i] = 2*g.float() - 1
+		}
+		initWeights(w, &g, 9*tc.chIn)
+		for _, relu := range []bool{false, true} {
+			got := make([]float64, tc.n*tc.n*tc.chOut)
+			want := make([]float64, len(got))
+			conv2D(in, tc.n, tc.chIn, w, tc.chOut, got, relu)
+			conv2DReference(in, tc.n, tc.chIn, w, tc.chOut, want, relu)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d chIn=%d chOut=%d relu=%v: output %d = %v, reference %v",
+						tc.n, tc.chIn, tc.chOut, relu, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -228,7 +337,7 @@ func TestMxMCorrectness(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, v := range m.Output() {
+	for i, v := range m.AppendOutput(nil) {
 		if v != 2*float64(i) {
 			t.Fatalf("C[%d] = %v, want %v", i, v, 2*float64(i))
 		}
@@ -246,7 +355,7 @@ func TestLUDReconstructs(t *testing.T) {
 	}
 	// Rebuild A = L·U and compare.
 	n := 8
-	lu := l.Output()
+	lu := l.AppendOutput(nil)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			sum := 0.0
@@ -291,7 +400,7 @@ func TestLavaMDForcesAntisymmetric(t *testing.T) {
 	// other; with clamped neighbor lists every pair within cutoff is
 	// symmetric, so total force cancels.
 	var fx, fy, fz float64
-	out := l.Output()
+	out := l.AppendOutput(nil)
 	for i := 0; i < len(out); i += 3 {
 		fx += out[i]
 		fy += out[i+1]
@@ -324,7 +433,7 @@ func TestHotSpotHeatsUnderPower(t *testing.T) {
 		}
 	}
 	after := 0.0
-	for _, v := range h.Output() {
+	for _, v := range h.AppendOutput(nil) {
 		after += v
 	}
 	if after <= before {
@@ -346,7 +455,7 @@ func TestSCCompactsCorrectly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out := c.Output()
+	out := c.AppendOutput(nil)
 	count := int(out[len(out)-1])
 	if count != len(want) {
 		t.Fatalf("compacted %d elements, want %d", count, len(want))
@@ -483,7 +592,7 @@ func TestCNNMasksTinyPerturbations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out := y2.Output()
+	out := y2.AppendOutput(nil)
 	for i := range golden {
 		if out[i] != golden[i] {
 			t.Fatalf("low-order activation flip changed detection output at %d", i)
@@ -528,7 +637,7 @@ func benchWorkload(b *testing.B, name string) {
 				b.Fatal(err)
 			}
 		}
-		if out := w.Output(); len(out) == 0 {
+		if out := w.AppendOutput(nil); len(out) == 0 {
 			b.Fatal("empty output")
 		}
 	}
