@@ -46,7 +46,7 @@ func run(args []string) error {
 	fastSeconds := fs.Float64("fast", 600, "ChipIR beam seconds")
 	thermalSeconds := fs.Float64("thermal", 3600, "ROTAX beam seconds")
 	boost := fs.Float64("boost", 50, "sensitivity boost (ratios preserved; sigmas corrected)")
-	shards := fs.Int("shards", runtime.GOMAXPROCS(0), "concurrent campaign shard executors (never affects results)")
+	shards := fs.Int("shards", runtime.GOMAXPROCS(0), "concurrent campaigns, and shard executors per campaign (never affects results)")
 	biasThermal := fs.Float64("bias-thermal", 0, "thermal-band oversampling factor (0 = exact transport)")
 	biasEpithermal := fs.Float64("bias-epithermal", 0, "epithermal-band oversampling factor (0 = exact transport)")
 	biasFast := fs.Float64("bias-fast", 0, "fast-band oversampling factor (0 = exact transport)")

@@ -266,6 +266,14 @@ func prepare(ctx context.Context, cfg Config) (*campaignSetup, error) {
 	}, nil
 }
 
+// annotate labels the campaign span with what the campaign runs, so
+// campaigns that run concurrently stay identifiable in a trace.
+func (s *campaignSetup) annotate(span *telemetry.Span) {
+	span.Annotate("device", s.cfg.Device.Name)
+	span.Annotate("workload", s.cfg.WorkloadName)
+	span.Annotate("beam", s.cfg.Beam.Name())
+}
+
 // RunContext is Run with a caller context, so the campaign's telemetry
 // spans nest under any span the caller has open (e.g. core.assess).
 //
@@ -283,6 +291,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.annotate(campaign)
 	// beam.neutrons_sampled counts the campaign's calibration budget; it is
 	// posted whether the plan was compiled here or served from the cache,
 	// so the counter stays proportional to campaigns run rather than to
@@ -748,33 +757,6 @@ func (p Pair) SDCRatio() (ratio, lo, hi float64) {
 // approximate 95% interval.
 func (p Pair) DUERatio() (ratio, lo, hi float64) {
 	return stats.RatioCI(p.Fast.DUECrossSection, p.Thermal.DUECrossSection)
-}
-
-// RunPair runs the same device and workload on both beamlines — exactly
-// the paper's protocol ("we irradiate the same physical devices executing
-// the codes with the same input both in ROTAX and in ChipIR").
-func RunPair(d *device.Device, workloadName string, fastSeconds, thermalSeconds float64, seed uint64) (Pair, error) {
-	fast, err := Run(Config{
-		Device:          d,
-		WorkloadName:    workloadName,
-		Beam:            spectrum.ChipIR(),
-		DurationSeconds: fastSeconds,
-		Seed:            seed,
-	})
-	if err != nil {
-		return Pair{}, fmt.Errorf("beam: ChipIR campaign: %w", err)
-	}
-	thermal, err := Run(Config{
-		Device:          d,
-		WorkloadName:    workloadName,
-		Beam:            spectrum.ROTAX(),
-		DurationSeconds: thermalSeconds,
-		Seed:            seed + 1,
-	})
-	if err != nil {
-		return Pair{}, fmt.Errorf("beam: ROTAX campaign: %w", err)
-	}
-	return Pair{Fast: fast, Thermal: thermal}, nil
 }
 
 // Merge combines campaign results from multiple workloads on one device

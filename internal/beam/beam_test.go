@@ -1,6 +1,7 @@
 package beam
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -171,6 +172,33 @@ func TestBandAttribution(t *testing.T) {
 	}
 }
 
+// runPair runs the same device and workload on both beamlines, ChipIR
+// then ROTAX on the next seed: the paper's matched-campaign protocol
+// for a single code.
+func runPair(d *device.Device, workloadName string, fastSeconds, thermalSeconds float64, seed uint64) (Pair, error) {
+	fast, err := Run(Config{
+		Device:          d,
+		WorkloadName:    workloadName,
+		Beam:            spectrum.ChipIR(),
+		DurationSeconds: fastSeconds,
+		Seed:            seed,
+	})
+	if err != nil {
+		return Pair{}, fmt.Errorf("beam: ChipIR campaign: %w", err)
+	}
+	thermal, err := Run(Config{
+		Device:          d,
+		WorkloadName:    workloadName,
+		Beam:            spectrum.ROTAX(),
+		DurationSeconds: thermalSeconds,
+		Seed:            seed + 1,
+	})
+	if err != nil {
+		return Pair{}, fmt.Errorf("beam: ROTAX campaign: %w", err)
+	}
+	return Pair{Fast: fast, Thermal: thermal}, nil
+}
+
 func TestRunPairRatioK20(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow MC campaign")
@@ -178,7 +206,7 @@ func TestRunPairRatioK20(t *testing.T) {
 	// K20 target: total ratio ≈ 2.2, SDC ratio ≈ 2. Boosted device keeps
 	// the ratio; verify within generous statistics.
 	d := boosted(device.K20(), 300)
-	pair, err := RunPair(d, "MxM", 30, 240, 11)
+	pair, err := runPair(d, "MxM", 30, 240, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,6 +210,7 @@ func AssemblePartials(ctx context.Context, cfg Config, partials []*Partial) (*Re
 	if err != nil {
 		return nil, err
 	}
+	s.annotate(campaign)
 	// Same campaign-proportional calibration accounting as RunContext: the
 	// assembling node answered the campaign, wherever the shards ran.
 	telemetry.Count("beam.neutrons_sampled", int64(s.cfg.CalSamples))

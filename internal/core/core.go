@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"neutronsim/internal/beam"
 	"neutronsim/internal/device"
@@ -32,9 +33,11 @@ type Budget struct {
 	// statistics gathering. Both bands scale identically, so all ratios
 	// and (boost-corrected) cross sections are preserved. 0 means 1.
 	Boost float64
-	// Shards caps how many shards each beam campaign executes
-	// concurrently (default GOMAXPROCS). It never affects results; see
-	// internal/engine.
+	// Shards caps how many of the assessment's beam campaigns run
+	// concurrently, and how many shards each campaign executes
+	// concurrently. 0 means GOMAXPROCS; 1 runs every campaign and shard
+	// serially on the caller's goroutine. It never affects results or
+	// errors; see internal/engine and DESIGN.md §9.
 	Shards int
 	// Bias opts both campaigns into importance-sampled transport with the
 	// given per-band oversampling factors (nil = exact). Results then
@@ -127,34 +130,62 @@ func assess(ctx context.Context, d *device.Device, workloads []string, b Budget,
 	// One compiled spectrum per beamline for the whole assessment; the
 	// per-workload campaigns share them instead of rebuilding the energy
 	// tables inside the loop.
-	chip := spectrum.ChipIR()
-	rotax := spectrum.ROTAX()
+	beams := [2]spectrum.Spectrum{spectrum.ChipIR(), spectrum.ROTAX()}
+	seconds := [2]float64{b.FastSeconds, b.ThermalSeconds}
+	// Campaign k is workload k/2 on beams[k%2] with seed seed+k: the
+	// serial protocol's order, workload-major with ChipIR first. Each
+	// campaign is independent of the others, so they run on a pool of
+	// Shards workers, each writing only its own slot.
+	n := 2 * len(workloads)
+	results := make([]*beam.Result, n)
+	errs := make([]error, n)
+	var mu sync.Mutex
+	cancels := make([]context.CancelFunc, n)
+	failed := n // lowest failed campaign so far
+	forEach(n, b.Shards, func(k int) {
+		mu.Lock()
+		if k > failed {
+			// A serial run would have stopped before reaching k.
+			mu.Unlock()
+			return
+		}
+		cctx, cancel := context.WithCancel(ctx)
+		cancels[k] = cancel
+		mu.Unlock()
+		results[k], errs[k] = beam.RunContext(cctx, beam.Config{
+			Device:          &dut,
+			WorkloadName:    workloads[k/2],
+			Beam:            beams[k%2],
+			DurationSeconds: seconds[k%2],
+			Seed:            seed + uint64(k),
+			Shards:          b.Shards,
+			Bias:            b.Bias,
+		})
+		cancel()
+		if errs[k] == nil {
+			return
+		}
+		// Cancel the campaigns after k in serial order. Those before it
+		// run on: one of them may fail too, and its error comes first.
+		mu.Lock()
+		if k < failed {
+			failed = k
+			for _, c := range cancels[k+1:] {
+				if c != nil {
+					c()
+				}
+			}
+		}
+		mu.Unlock()
+	})
+	for k, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("core: %s/%s %s: %w", d.Name, workloads[k/2], beams[k%2].Name(), err)
+		}
+	}
 	var fastResults, thermalResults []*beam.Result
 	for i, wl := range workloads {
-		fast, err := beam.RunContext(ctx, beam.Config{
-			Device:          &dut,
-			WorkloadName:    wl,
-			Beam:            chip,
-			DurationSeconds: b.FastSeconds,
-			Seed:            seed + uint64(i)*2,
-			Shards:          b.Shards,
-			Bias:            b.Bias,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: %s/%s ChipIR: %w", d.Name, wl, err)
-		}
-		thermal, err := beam.RunContext(ctx, beam.Config{
-			Device:          &dut,
-			WorkloadName:    wl,
-			Beam:            rotax,
-			DurationSeconds: b.ThermalSeconds,
-			Seed:            seed + uint64(i)*2 + 1,
-			Shards:          b.Shards,
-			Bias:            b.Bias,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: %s/%s ROTAX: %w", d.Name, wl, err)
-		}
+		fast, thermal := results[2*i], results[2*i+1]
 		a.PerWorkload[wl] = beam.Pair{Fast: fast, Thermal: thermal}
 		fastResults = append(fastResults, fast)
 		thermalResults = append(thermalResults, thermal)

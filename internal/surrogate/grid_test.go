@@ -41,8 +41,8 @@ func TestEvaluateGridGolden(t *testing.T) {
 }
 
 // TestEvaluateGridWorkerInvariance checks that the worker count only
-// changes scheduling: serial and 4-way evaluation give identical
-// datasets, exact and biased.
+// changes scheduling: serial, 4-way and GOMAXPROCS-wide (Workers 0)
+// evaluation give identical datasets, exact and biased.
 func TestEvaluateGridWorkerInvariance(t *testing.T) {
 	for _, bias := range []*plan.Bias{nil, {Thermal: 10}} {
 		cfg := goldenGrid(bias)
@@ -52,13 +52,15 @@ func TestEvaluateGridWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Workers = 4
-		parallel, err := EvaluateGrid(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.Fingerprint() != parallel.Fingerprint() {
-			t.Errorf("bias %v: Workers 1 and 4 give different datasets", bias)
+		for _, workers := range []int{4, 0} {
+			cfg.Workers = workers
+			parallel, err := EvaluateGrid(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if serial.Fingerprint() != parallel.Fingerprint() {
+				t.Errorf("bias %v: Workers 1 and %d give different datasets", bias, workers)
+			}
 		}
 	}
 }

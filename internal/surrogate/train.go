@@ -430,7 +430,8 @@ type GridConfig struct {
 	// (see DesignSigma); nil is the exact estimator. The factors enter
 	// every row's features.
 	Bias *plan.Bias
-	// Workers caps how many design points evaluate concurrently; <= 1
+	// Workers caps how many design points evaluate concurrently; <= 0
+	// means GOMAXPROCS (the engine.Config.Workers convention) and 1
 	// evaluates serially on the caller's goroutine. It never affects
 	// the dataset.
 	Workers int
@@ -490,7 +491,7 @@ func EvaluateGrid(cfg GridConfig) (*Dataset, error) {
 	spectra := [2]spectrum.Spectrum{spectrum.ROTAX(), spectrum.ChipIR()}
 	start := time.Now()
 	points, err := engine.Map(context.Background(), engine.Config{
-		Workers:   max(cfg.Workers, 1),
+		Workers:   cfg.Workers,
 		Grain:     1,
 		Name:      "grid",
 		StreamFor: func(i int) *rng.Stream { return streams[i] },
