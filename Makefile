@@ -9,8 +9,11 @@ GO ?= go
 
 check: vet build race
 
+# perfbench is its own module, so ./... never reaches it; vetting it here
+# builds the benchmark harness against the current internal packages.
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 build:
 	$(GO) build ./...

@@ -89,16 +89,12 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
 	if *out == "-" {
-		_, err = os.Stdout.Write(blob)
-		return err
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(rep)
 	}
 	// Atomic write: a dashboard tailing the report file never reads a
 	// torn document.
-	return telemetry.WriteFileAtomic(*out, blob, 0o644)
+	return telemetry.WriteJSONAtomic(*out, rep)
 }

@@ -1,7 +1,6 @@
 package beam
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -14,6 +13,7 @@ import (
 	"neutronsim/internal/plan"
 	"neutronsim/internal/rng"
 	"neutronsim/internal/spectrum"
+	"neutronsim/internal/telemetry"
 )
 
 // benchCalSamples sizes the calibration table like a production campaign:
@@ -203,9 +203,5 @@ func writeSamplingSnapshot(path string) error {
 			return fmt.Errorf("%s reports %d allocs/op, want 0", name, allocs)
 		}
 	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return telemetry.WriteJSONAtomic(path, snap)
 }

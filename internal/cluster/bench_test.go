@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -45,11 +44,7 @@ func writeClusterSnapshot(path string) error {
 	if err := Gate(rep, minSpeedup); err != nil {
 		return err
 	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
+	return telemetry.WriteJSONAtomic(path, rep)
 }
 
 // TestClusterBenchQuick is the tier-1 smoke: a shortened storm must

@@ -20,13 +20,10 @@ type peerState struct {
 	// concurrent health poll says ready, so a flapping peer doesn't get
 	// every re-dispatched range.
 	downUntil time.Time
-	ready     server.ReadyzInfo
 }
 
 // PeerSet tracks the health of a fixed list of peer base URLs by polling
-// GET /readyz. A peer is healthy when its latest poll returned 200; the
-// JSON ReadyzInfo body (queue depth, drain state) is retained for
-// dispatch decisions and surfaced by Snapshot.
+// GET /readyz. A peer is healthy when its latest poll returned 200.
 type PeerSet struct {
 	peers  []string
 	client *http.Client
@@ -49,9 +46,6 @@ func NewPeerSet(peers []string, client *http.Client) *PeerSet {
 	return ps
 }
 
-// Peers returns the configured peer list (healthy or not), in order.
-func (ps *PeerSet) Peers() []string { return append([]string(nil), ps.peers...) }
-
 // Poll probes every peer's /readyz once, concurrently, and updates
 // health. It returns the number of healthy peers.
 func (ps *PeerSet) Poll(ctx context.Context) int {
@@ -60,13 +54,9 @@ func (ps *PeerSet) Poll(ctx context.Context) int {
 		wg.Add(1)
 		go func(peer string) {
 			defer wg.Done()
-			info, err := ps.probe(ctx, peer)
+			err := ps.probe(ctx, peer)
 			ps.mu.Lock()
-			st := ps.st[peer]
-			st.healthy = err == nil
-			if err == nil {
-				st.ready = info
-			}
+			ps.st[peer].healthy = err == nil
 			ps.mu.Unlock()
 		}(p)
 	}
@@ -82,24 +72,24 @@ func (ps *PeerSet) Poll(ctx context.Context) int {
 	return n
 }
 
-func (ps *PeerSet) probe(ctx context.Context, peer string) (server.ReadyzInfo, error) {
+func (ps *PeerSet) probe(ctx context.Context, peer string) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/readyz", nil)
 	if err != nil {
-		return server.ReadyzInfo{}, err
+		return err
 	}
 	resp, err := ps.client.Do(req)
 	if err != nil {
-		return server.ReadyzInfo{}, err
+		return err
 	}
 	defer resp.Body.Close()
 	var info server.ReadyzInfo
 	if derr := json.NewDecoder(resp.Body).Decode(&info); derr != nil {
-		return server.ReadyzInfo{}, fmt.Errorf("decode readyz: %w", derr)
+		return fmt.Errorf("decode readyz: %w", derr)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return info, fmt.Errorf("readyz %s: status %d (%s)", peer, resp.StatusCode, info.Status)
+		return fmt.Errorf("readyz %s: status %d (%s)", peer, resp.StatusCode, info.Status)
 	}
-	return info, nil
+	return nil
 }
 
 // Run polls every interval until ctx is done — the coordinator's
@@ -143,23 +133,4 @@ func (ps *PeerSet) MarkDown(peer string, cooldown time.Duration) {
 		st.healthy = false
 		st.downUntil = time.Now().Add(cooldown)
 	}
-}
-
-// PeerHealth is one row of Snapshot.
-type PeerHealth struct {
-	Peer    string            `json:"peer"`
-	Healthy bool              `json:"healthy"`
-	Ready   server.ReadyzInfo `json:"ready"`
-}
-
-// Snapshot reports every peer's last observed state, in configured order.
-func (ps *PeerSet) Snapshot() []PeerHealth {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	out := make([]PeerHealth, 0, len(ps.peers))
-	for _, p := range ps.peers {
-		st := ps.st[p]
-		out = append(out, PeerHealth{Peer: p, Healthy: st.healthy, Ready: st.ready})
-	}
-	return out
 }

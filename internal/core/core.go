@@ -14,6 +14,7 @@ import (
 
 	"neutronsim/internal/beam"
 	"neutronsim/internal/device"
+	"neutronsim/internal/engine"
 	"neutronsim/internal/fit"
 	"neutronsim/internal/plan"
 	"neutronsim/internal/spectrum"
@@ -142,7 +143,7 @@ func assess(ctx context.Context, d *device.Device, workloads []string, b Budget,
 	var mu sync.Mutex
 	cancels := make([]context.CancelFunc, n)
 	failed := n // lowest failed campaign so far
-	forEach(n, b.Shards, func(k int) {
+	engine.ForEach(n, b.Shards, func(k int) {
 		mu.Lock()
 		if k > failed {
 			// A serial run would have stopped before reaching k.

@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -11,6 +10,7 @@ import (
 	"neutronsim/internal/beam"
 	"neutronsim/internal/device"
 	"neutronsim/internal/spectrum"
+	"neutronsim/internal/telemetry"
 )
 
 // benchCampaign is the workload every scaling point shares: a boosted
@@ -151,11 +151,7 @@ func writeBenchSnapshot(path string) error {
 		Note: "results are bit-identical for any worker count (see conformance_test.go); " +
 			"the scaling floor is enforced only on hosts with a 4-core point in the curve",
 	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := telemetry.WriteJSONAtomic(path, snap); err != nil {
 		return err
 	}
 	if floor.Enforced && floor.MeasuredSpeedup < scalingFloorMin {

@@ -70,18 +70,34 @@ type Config struct {
 	OnShardDone func(sh Shard, doneItems, totalItems int)
 }
 
-func (c Config) workers(shards int) int {
-	w := c.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// ForEach calls fn(i) once for every i in [0, n) on a bounded pool of at
+// most workers goroutines (<= 0 means GOMAXPROCS). Indices are handed
+// out in ascending order, so a call never starts before every lower
+// index has started. One worker is a plain loop on the caller's
+// goroutine. ForEach returns when every call has returned; fn must keep
+// what it writes in per-index slots.
+func ForEach(n, workers int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if w > shards {
-		w = shards
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
 	}
-	if w < 1 {
-		w = 1
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
 	}
-	return w
+	wg.Wait()
 }
 
 // Plan splits total items into contiguous shards of at most grain items.
@@ -205,30 +221,9 @@ func MapRange[T any](ctx context.Context, cfg Config, total, defaultGrain, lo, h
 			cfg.OnShardDone(sh, int(done.Add(int64(sh.Count))), total)
 		}
 	}
-	if workers := cfg.workers(len(shards)); workers == 1 {
-		// Serial executor: same shards, same streams, same results — just
-		// on the caller's goroutine.
-		for i := range shards {
-			exec(i)
-		}
-	} else {
-		indices := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range indices {
-					exec(i)
-				}
-			}()
-		}
-		for i := range shards {
-			indices <- i
-		}
-		close(indices)
-		wg.Wait()
-	}
+	// One worker runs the same shards on the same streams, with the same
+	// results, on the caller's goroutine.
+	ForEach(len(shards), cfg.Workers, exec)
 	if err := ctx.Err(); err != nil {
 		// A canceled campaign reports the cancellation itself rather than
 		// one wrapped error per unstarted shard.

@@ -320,3 +320,17 @@ func TestMapOnShardDone(t *testing.T) {
 		t.Errorf("final cumulative count = %d, want 30", max)
 	}
 }
+
+func TestForEachVisitsEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 100} {
+		for _, workers := range []int{-1, 0, 1, 3, 200} {
+			calls := make([]int, n)
+			ForEach(n, workers, func(i int) { calls[i]++ })
+			for i, c := range calls {
+				if c != 1 {
+					t.Fatalf("n=%d workers=%d: index %d called %d times", n, workers, i, c)
+				}
+			}
+		}
+	}
+}

@@ -163,9 +163,6 @@ func (inj *Injector) Golden() []float64 {
 	return append([]float64(nil), inj.golden...)
 }
 
-// Workload returns the underlying workload.
-func (inj *Injector) Workload() workload.Workload { return inj.w }
-
 // Run replays the workload, injecting each fault before its step, and
 // classifies the outcome. The replay resumes from the golden checkpoint
 // before the first data fault's step: every earlier step is fault-free

@@ -123,14 +123,6 @@ func AtAltitude(name string, meters float64) Location {
 	}
 }
 
-// ThermalToFastRatio returns the site's bare thermal:fast flux ratio.
-func (l Location) ThermalToFastRatio() float64 {
-	if l.FastFluxPerHour == 0 {
-		return 0
-	}
-	return l.ThermalFluxPerHour / l.FastFluxPerHour
-}
-
 // Environment-material adjustments (§VI). WaterCoolingEnhancement is the
 // Tin-II measurement (+24% with two inches of water); ConcreteEnhancement
 // is the slab-floor adjustment (≈+20%); together they are the paper's

@@ -9,7 +9,6 @@ package jobsim
 import (
 	"context"
 	"errors"
-	"math"
 
 	"neutronsim/internal/checkpoint"
 	"neutronsim/internal/rng"
@@ -144,86 +143,4 @@ func PredictedGoodput(p Params) float64 {
 		w = 1
 	}
 	return 1 - w
-}
-
-// SweepIntervals simulates a range of checkpoint intervals and returns the
-// interval with the best measured goodput — the empirical counterpart of
-// the Daly optimum.
-func SweepIntervals(base Params, intervals []float64, s *rng.Stream) (bestInterval float64, bestGoodput float64, err error) {
-	if len(intervals) == 0 {
-		return 0, 0, errors.New("jobsim: no intervals to sweep")
-	}
-	bestGoodput = math.Inf(-1)
-	for _, tau := range intervals {
-		p := base
-		p.IntervalSeconds = tau
-		r, err := Simulate(p, s)
-		if err != nil {
-			return 0, 0, err
-		}
-		if r.Goodput > bestGoodput {
-			bestGoodput = r.Goodput
-			bestInterval = tau
-		}
-	}
-	return bestInterval, bestGoodput, nil
-}
-
-// WeatherWeek simulates a 7-day run where rainy days raise the DUE rate,
-// comparing the weather-adaptive checkpoint policy against the static
-// sunny-day interval — the empirical version of experiment E15.
-func WeatherWeek(sunnyMTBF, rainyMTBF, checkpointSeconds float64, rainy []bool, s *rng.Stream) (adaptiveGoodput, staticGoodput float64, err error) {
-	if len(rainy) == 0 {
-		return 0, 0, errors.New("jobsim: empty weather sequence")
-	}
-	if rainyMTBF > sunnyMTBF {
-		return 0, 0, errors.New("jobsim: rainy MTBF must not exceed sunny MTBF")
-	}
-	staticTau, err := checkpoint.DalyInterval(checkpointSeconds, sunnyMTBF)
-	if err != nil {
-		return 0, 0, err
-	}
-	const day = 86400.0
-	var adaptiveUseful, staticUseful float64
-	// The adaptive policy only ever uses two intervals — the sunny one
-	// (identical to staticTau) and the rainy one — so compute each once
-	// instead of re-deriving the Daly optimum every day. The rainy interval
-	// is computed lazily on the first rainy day, preserving the old
-	// behavior for weather sequences that never exercise it.
-	rainyTau, rainyTauSet := 0.0, false
-	for _, isRainy := range rainy {
-		mtbf := sunnyMTBF
-		adaptTau := staticTau
-		if isRainy {
-			mtbf = rainyMTBF
-			if !rainyTauSet {
-				rainyTau, err = checkpoint.DalyInterval(checkpointSeconds, rainyMTBF)
-				if err != nil {
-					return 0, 0, err
-				}
-				rainyTauSet = true
-			}
-			adaptTau = rainyTau
-		}
-		ra, err := Simulate(Params{
-			MTBFSeconds: mtbf, IntervalSeconds: adaptTau,
-			CheckpointSeconds: checkpointSeconds, RestartSeconds: checkpointSeconds,
-			HorizonSeconds: day,
-		}, s)
-		if err != nil {
-			return 0, 0, err
-		}
-		rs, err := Simulate(Params{
-			MTBFSeconds: mtbf, IntervalSeconds: staticTau,
-			CheckpointSeconds: checkpointSeconds, RestartSeconds: checkpointSeconds,
-			HorizonSeconds: day,
-		}, s)
-		if err != nil {
-			return 0, 0, err
-		}
-		adaptiveUseful += ra.UsefulSeconds
-		staticUseful += rs.UsefulSeconds
-	}
-	total := float64(len(rainy)) * day
-	return adaptiveUseful / total, staticUseful / total, nil
 }

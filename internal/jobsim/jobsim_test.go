@@ -105,45 +105,22 @@ func TestEmpiricalOptimumNearDaly(t *testing.T) {
 		t.Fatal(err)
 	}
 	intervals := []float64{daly / 8, daly / 4, daly / 2, daly, daly * 2, daly * 4, daly * 8}
-	best, _, err := SweepIntervals(p, intervals, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
+	s := rng.New(5)
+	best, bestGoodput := 0.0, math.Inf(-1)
+	for _, tau := range intervals {
+		p.IntervalSeconds = tau
+		r, err := Simulate(p, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Goodput > bestGoodput {
+			best, bestGoodput = tau, r.Goodput
+		}
 	}
 	// The empirical optimum should land within a factor 2 of Daly (the
 	// curve is flat near the optimum, so neighbors are admissible).
 	if best < daly/2-1 || best > daly*2+1 {
 		t.Errorf("empirical best interval %v, Daly %v", best, daly)
-	}
-}
-
-func TestSweepValidation(t *testing.T) {
-	if _, _, err := SweepIntervals(baseParams(), nil, rng.New(6)); err == nil {
-		t.Error("empty sweep accepted")
-	}
-}
-
-func TestWeatherWeek(t *testing.T) {
-	rainy := []bool{false, false, true, true, true, false, false}
-	adaptive, static, err := WeatherWeek(6*3600, 3*3600, 120, rainy, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adaptive <= 0 || static <= 0 || adaptive > 1 || static > 1 {
-		t.Fatalf("goodputs out of range: %v %v", adaptive, static)
-	}
-	// Adaptive must not be meaningfully worse (the optimum is flat, so
-	// allow noise).
-	if adaptive < static-0.01 {
-		t.Errorf("adaptive %v clearly worse than static %v", adaptive, static)
-	}
-}
-
-func TestWeatherWeekValidation(t *testing.T) {
-	if _, _, err := WeatherWeek(3600, 7200, 60, []bool{true}, rng.New(8)); err == nil {
-		t.Error("rainy MTBF above sunny accepted")
-	}
-	if _, _, err := WeatherWeek(7200, 3600, 60, nil, rng.New(9)); err == nil {
-		t.Error("empty week accepted")
 	}
 }
 

@@ -7,7 +7,6 @@ package materials
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"neutronsim/internal/physics"
@@ -81,7 +80,6 @@ type Component struct {
 // Material is a homogeneous mixture with macroscopic cross sections.
 type Material struct {
 	name       string
-	density    float64 // g/cm³
 	components []Component
 }
 
@@ -111,7 +109,7 @@ func New(name string, density float64, fractions []WeightFraction) (*Material, e
 	if total <= 0 {
 		return nil, fmt.Errorf("materials: %s: zero total fraction", name)
 	}
-	m := &Material{name: name, density: density}
+	m := &Material{name: name}
 	for _, f := range fractions {
 		w := f.Fraction / total
 		if w == 0 {
@@ -139,9 +137,6 @@ func mustNew(name string, density float64, fractions []WeightFraction) *Material
 
 // Name returns the material name.
 func (m *Material) Name() string { return m.name }
-
-// Density returns the bulk density in g/cm³.
-func (m *Material) Density() float64 { return m.density }
 
 // Components returns a copy of the component list.
 func (m *Material) Components() []Component {
@@ -172,15 +167,6 @@ func (m *Material) MacroTotal(e units.Energy) float64 {
 	return m.MacroScatter() + m.MacroAbsorb(e)
 }
 
-// MeanFreePath returns 1/Σt in cm, or +Inf for vacuum-like materials.
-func (m *Material) MeanFreePath(e units.Energy) float64 {
-	t := m.MacroTotal(e)
-	if t <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / t
-}
-
 // AbsorptionProbability returns Σa/Σt at energy e, the per-collision
 // probability that the interaction is an absorption.
 func (m *Material) AbsorptionProbability(e units.Energy) float64 {
@@ -207,17 +193,6 @@ func (m *Material) SampleScatterer(s *rng.Stream) Element {
 		}
 	}
 	return m.components[len(m.components)-1].Element
-}
-
-// HydrogenDensity returns the hydrogen number density (atoms/cm³), the key
-// figure of merit for a moderator.
-func (m *Material) HydrogenDensity() float64 {
-	for _, c := range m.components {
-		if c.Element.Name == "H" {
-			return c.NumberDensity
-		}
-	}
-	return 0
 }
 
 // Built-in catalog ---------------------------------------------------------

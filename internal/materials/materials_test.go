@@ -8,19 +8,23 @@ import (
 	"neutronsim/internal/units"
 )
 
+// numberDensity returns the named element's atoms/cm³ in m, or 0.
+func numberDensity(m *Material, element string) float64 {
+	for _, c := range m.Components() {
+		if c.Element.Name == element {
+			return c.NumberDensity
+		}
+	}
+	return 0
+}
+
 func TestWaterComposition(t *testing.T) {
 	w := Water()
 	// Standard values: N(H2O) = 3.34e22 → H 6.69e22, O 3.34e22 atoms/cm³.
-	if got := w.HydrogenDensity(); math.Abs(got-6.69e22)/6.69e22 > 0.01 {
+	if got := numberDensity(w, "H"); math.Abs(got-6.69e22)/6.69e22 > 0.01 {
 		t.Errorf("water hydrogen density = %v, want ~6.69e22", got)
 	}
-	var oxygen float64
-	for _, c := range w.Components() {
-		if c.Element.Name == "O" {
-			oxygen = c.NumberDensity
-		}
-	}
-	if math.Abs(oxygen-3.34e22)/3.34e22 > 0.01 {
+	if oxygen := numberDensity(w, "O"); math.Abs(oxygen-3.34e22)/3.34e22 > 0.01 {
 		t.Errorf("water oxygen density = %v, want ~3.34e22", oxygen)
 	}
 }
@@ -43,7 +47,7 @@ func TestWaterAbsorption(t *testing.T) {
 
 func TestMeanFreePathWater(t *testing.T) {
 	// Thermal mfp in water ≈ 0.66 cm (1/1.51).
-	got := Water().MeanFreePath(0.0253)
+	got := 1 / Water().MacroTotal(0.0253)
 	if got < 0.5 || got > 0.8 {
 		t.Errorf("thermal mfp in water = %v cm, want ~0.66", got)
 	}
@@ -74,7 +78,7 @@ func TestBoratedPolyethyleneAbsorbs(t *testing.T) {
 			borated.MacroAbsorb(0.0253), plain.MacroAbsorb(0.0253))
 	}
 	// Still hydrogen-rich.
-	if borated.HydrogenDensity() < 0.5*plain.HydrogenDensity() {
+	if numberDensity(borated, "H") < 0.5*numberDensity(plain, "H") {
 		t.Error("borated PE lost too much hydrogen")
 	}
 }
@@ -93,10 +97,10 @@ func TestBoratedPolyethyleneClamps(t *testing.T) {
 
 func TestConcreteHasHydrogen(t *testing.T) {
 	c := Concrete()
-	if c.HydrogenDensity() <= 0 {
+	if numberDensity(c, "H") <= 0 {
 		t.Error("concrete should contain bound water hydrogen")
 	}
-	if c.HydrogenDensity() >= Water().HydrogenDensity() {
+	if numberDensity(c, "H") >= numberDensity(Water(), "H") {
 		t.Error("concrete should have less hydrogen than water")
 	}
 }
@@ -119,18 +123,18 @@ func TestBPSGBoronContent(t *testing.T) {
 }
 
 func TestAirNearlyTransparent(t *testing.T) {
-	if mfp := Air().MeanFreePath(0.0253); mfp < 1000 {
+	if mfp := 1 / Air().MacroTotal(0.0253); mfp < 1000 {
 		t.Errorf("thermal mfp in air = %v cm, want > 10 m", mfp)
 	}
 }
 
 func TestLiquidMethaneModerator(t *testing.T) {
 	m := LiquidMethane()
-	if m.HydrogenDensity() <= 0 {
+	if numberDensity(m, "H") <= 0 {
 		t.Error("methane should be hydrogen-rich")
 	}
 	// CH4 at 0.42 g/cm³: N(CH4) = 1.58e22 → H = 6.3e22.
-	if got := m.HydrogenDensity(); math.Abs(got-6.3e22)/6.3e22 > 0.02 {
+	if got := numberDensity(m, "H"); math.Abs(got-6.3e22)/6.3e22 > 0.02 {
 		t.Errorf("methane H density = %v, want ~6.3e22", got)
 	}
 }
@@ -216,24 +220,6 @@ func TestComponentsCopied(t *testing.T) {
 	}
 }
 
-func TestCatalogDensities(t *testing.T) {
-	tests := []struct {
-		m    *Material
-		want float64
-	}{
-		{Water(), 1.0},
-		{Concrete(), 2.3},
-		{Polyethylene(), 0.94},
-		{CadmiumSheet(), 8.65},
-		{SiliconBulk(), 2.33},
-	}
-	for _, tt := range tests {
-		if got := tt.m.Density(); got != tt.want {
-			t.Errorf("%s density = %v, want %v", tt.m.Name(), got, tt.want)
-		}
-	}
-}
-
 func TestCadmiumResonanceFromTable(t *testing.T) {
 	// With evaluated data loaded, the 0.178 eV resonance must show up in
 	// the macroscopic absorption of the Cd sheet.
@@ -261,11 +247,11 @@ func TestTabulatedBoronMatchesAnalytic(t *testing.T) {
 
 func TestKeroseneModerator(t *testing.T) {
 	k := Kerosene()
-	if k.HydrogenDensity() <= 0 {
+	if numberDensity(k, "H") <= 0 {
 		t.Fatal("kerosene should be hydrogen-rich")
 	}
 	// ~7.4e22 H/cm³ (0.81 g/cm³ × 0.1526 × N_A).
-	if got := k.HydrogenDensity(); math.Abs(got-7.4e22)/7.4e22 > 0.05 {
+	if got := numberDensity(k, "H"); math.Abs(got-7.4e22)/7.4e22 > 0.05 {
 		t.Errorf("kerosene H density = %v, want ~7.4e22", got)
 	}
 }

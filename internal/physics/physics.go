@@ -23,10 +23,9 @@ const (
 	Boron10ThermalSigma = 3840
 	// Helium3ThermalSigma drives the Tin-II ³He proportional tubes (§III-D).
 	Helium3ThermalSigma = 5330
-	// Cadmium113ThermalSigma is the reason thin Cd sheets block thermal
-	// neutrons (§VI); natural Cd value weighted by ¹¹³Cd abundance.
-	Cadmium113ThermalSigma = 20600
-	NaturalCadmiumSigma    = 2520
+	// NaturalCadmiumSigma is the reason thin Cd sheets block thermal
+	// neutrons (§VI).
+	NaturalCadmiumSigma = 2520
 	// Boron isotopics (§II): ~20% of natural boron is ¹⁰B.
 	NaturalBoron10Fraction = 0.199
 )
@@ -55,11 +54,6 @@ func OneOverV(sigma0 units.CrossSection, e units.Energy) units.CrossSection {
 // Boron10Capture returns the ¹⁰B(n,α) microscopic cross section at energy e.
 func Boron10Capture(e units.Energy) units.CrossSection {
 	return OneOverV(units.FromBarns(Boron10ThermalSigma), e)
-}
-
-// Helium3Capture returns the ³He(n,p) microscopic cross section at energy e.
-func Helium3Capture(e units.Energy) units.CrossSection {
-	return OneOverV(units.FromBarns(Helium3ThermalSigma), e)
 }
 
 // Secondary is a charged secondary particle created by a neutron
@@ -107,15 +101,12 @@ func (k SecondaryKind) String() string {
 // (1.78 MeV α + 1.01 MeV Li). The 1.47 MeV alpha is the particle the paper
 // singles out (§I).
 const (
-	boronExcitedBranch     = 0.94
-	alphaExcitedMeV        = 1.47
-	lithiumExcitedMeV      = 0.84
-	alphaGroundMeV         = 1.78
-	lithiumGroundMeV       = 1.01
-	lithiumGammaMeV        = 0.478
-	helium3ProtonMeV       = 0.573
-	helium3TritonMeV       = 0.191
-	siliconDisplacementMeV = 0.025 // ~25 keV displacement-damage threshold scale
+	boronExcitedBranch = 0.94
+	alphaExcitedMeV    = 1.47
+	lithiumExcitedMeV  = 0.84
+	alphaGroundMeV     = 1.78
+	lithiumGroundMeV   = 1.01
+	lithiumGammaMeV    = 0.478
 )
 
 // MaxCaptureProducts is the largest number of secondaries a single capture
@@ -143,22 +134,6 @@ func AppendBoronCaptureProducts(dst []Secondary, s *rng.Stream) []Secondary {
 	)
 }
 
-// BoronCaptureProducts samples the charged products of one ¹⁰B(n,α)⁷Li
-// capture into a fresh slice. Hot loops should prefer
-// AppendBoronCaptureProducts with reused scratch.
-func BoronCaptureProducts(s *rng.Stream) []Secondary {
-	return AppendBoronCaptureProducts(nil, s)
-}
-
-// Helium3CaptureProducts returns the p + t pair from ³He(n,p)³H (Q=764 keV),
-// the signal-generating reaction in the Tin-II tubes.
-func Helium3CaptureProducts() []Secondary {
-	return []Secondary{
-		{Kind: Proton, Energy: units.Energy(helium3ProtonMeV * 1e6)},
-		{Kind: Triton, Energy: units.Energy(helium3TritonMeV * 1e6)},
-	}
-}
-
 // Elastic-scattering kinematics ------------------------------------------------
 
 // ElasticAlpha returns alpha = ((A-1)/(A+1))², the minimum fractional energy
@@ -168,16 +143,6 @@ func ElasticAlpha(a float64) float64 {
 	return r * r
 }
 
-// Xi returns the mean logarithmic energy decrement per collision,
-// ξ = 1 + α ln α / (1 - α); ξ(H) = 1, ξ(C) ≈ 0.158, ξ(Si) ≈ 0.070.
-func Xi(a float64) float64 {
-	if a <= 1 {
-		return 1
-	}
-	al := ElasticAlpha(a)
-	return 1 + al*math.Log(al)/(1-al)
-}
-
 // ScatterEnergy samples the post-collision energy of a neutron of energy e
 // elastically scattering off a nucleus of mass number A, assuming isotropy
 // in the center-of-mass frame (the textbook slowing-down model): E' is
@@ -185,17 +150,6 @@ func Xi(a float64) float64 {
 func ScatterEnergy(e units.Energy, a float64, s *rng.Stream) units.Energy {
 	al := ElasticAlpha(a)
 	return units.Energy(float64(e) * (al + (1-al)*s.Float64()))
-}
-
-// CollisionsToThermalize estimates the mean number of elastic collisions
-// with mass-A nuclei needed to moderate a neutron from energy from down to
-// energy to: n = ln(from/to)/ξ(A). For 2 MeV → 25 meV on hydrogen this is
-// the classic ≈18 collisions.
-func CollisionsToThermalize(from, to units.Energy, a float64) float64 {
-	if from <= to {
-		return 0
-	}
-	return math.Log(float64(from)/float64(to)) / Xi(a)
 }
 
 // Charge deposition ------------------------------------------------------------
@@ -243,13 +197,6 @@ func DepositedCharge(sec Secondary, s *rng.Stream) float64 {
 		frac = 1
 	}
 	return ChargeFC(units.Energy(float64(sec.Energy) * frac))
-}
-
-// AppendFastSiliconSecondary appends the sampled fast-silicon secondary to
-// dst, the scratch-buffer counterpart of FastSiliconSecondary for callers
-// that accumulate secondaries from mixed interaction kinds.
-func AppendFastSiliconSecondary(dst []Secondary, e units.Energy, s *rng.Stream) []Secondary {
-	return append(dst, FastSiliconSecondary(e, s))
 }
 
 // FastSiliconSecondary samples the dominant charged secondary from a fast

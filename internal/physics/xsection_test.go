@@ -41,9 +41,6 @@ func TestXSTableExactPoints(t *testing.T) {
 			t.Errorf("At(%v) = %v, want %v", e, got, want)
 		}
 	}
-	if tbl.Points() != 3 {
-		t.Error("point count")
-	}
 }
 
 func TestXSTableLogLogInterpolation(t *testing.T) {

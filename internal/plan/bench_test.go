@@ -2,7 +2,6 @@ package plan
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -114,9 +113,5 @@ func writePlanSnapshot(path string) error {
 	if speedup < 10 {
 		return fmt.Errorf("warm setup speedup %.1fx, want >= 10x", speedup)
 	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return telemetry.WriteJSONAtomic(path, snap)
 }

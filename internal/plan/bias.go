@@ -120,7 +120,6 @@ func CompileBiased(d *device.Device, sp spectrum.Spectrum, n int, cal *rng.Strea
 	p := &CampaignPlan{
 		slots: buildSlots(energies, weights, sum),
 		meanP: sum / float64(n),
-		bias:  bias,
 	}
 	factors := bias.factors()
 	biasedWeights := make([]float64, n)
@@ -154,10 +153,6 @@ func CompileBiased(d *device.Device, sp spectrum.Spectrum, n int, cal *rng.Strea
 // IsBiased reports whether the plan carries a biased table (it was built
 // by CompileBiased — including with identity factors).
 func (p *CampaignPlan) IsBiased() bool { return p.biased != nil }
-
-// Bias returns the bias knob the plan was compiled with, and whether the
-// plan is biased at all.
-func (p *CampaignPlan) Bias() (Bias, bool) { return p.bias, p.biased != nil }
 
 // BandWeight returns the likelihood weight a draw in the given band
 // carries (1 for exact plans and out-of-range bands).

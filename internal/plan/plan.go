@@ -44,7 +44,6 @@ type CampaignPlan struct {
 	// 32-byte layout.
 	biased []slot
 	bandW  [physics.NumBands + 1]float64
-	bias   Bias
 }
 
 // slot is one fused alias slot: accept keeps self, reject takes the

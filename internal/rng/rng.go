@@ -396,41 +396,10 @@ func (s *Stream) WattEnergy(a, b float64) float64 {
 	}
 }
 
-// PowerLawEnergy samples E in [lo, hi] from p(E) ∝ E^(-gamma).
-func (s *Stream) PowerLawEnergy(lo, hi, gamma float64) float64 {
-	if lo <= 0 || hi <= lo {
-		panic("rng: PowerLawEnergy requires 0 < lo < hi")
-	}
-	u := s.Float64()
-	if math.Abs(gamma-1) < 1e-12 {
-		return lo * math.Pow(hi/lo, u)
-	}
-	g := 1 - gamma
-	return math.Pow(math.Pow(lo, g)+u*(math.Pow(hi, g)-math.Pow(lo, g)), 1/g)
-}
-
 // LogUniform samples a value in [lo, hi] uniform in log-space.
 func (s *Stream) LogUniform(lo, hi float64) float64 {
 	if lo <= 0 || hi < lo {
 		panic("rng: LogUniform requires 0 < lo <= hi")
 	}
 	return lo * math.Exp(s.Float64()*math.Log(hi/lo))
-}
-
-// Shuffle randomizes the order of n elements via the provided swap function.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	s.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

@@ -139,17 +139,3 @@ func (c *Cache) Stats() CacheStats {
 	}
 	return st
 }
-
-// Len reports the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Bytes reports the total cached body bytes.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}

@@ -18,8 +18,8 @@ type ChangePoint struct {
 }
 
 // DetectStep scans a series for the single most likely mean-shift point by
-// maximizing the two-sample z statistic over all split positions (a
-// least-squares / CUSUM-equivalent formulation for a single step). minSeg
+// maximizing the two-sample z statistic over all split positions (the
+// least-squares form of cumulative-sum detection for a single step). minSeg
 // is the minimum samples required on each side; threshold is the |z| above
 // which the step is flagged significant (5.0 is a robust default for
 // multi-day hourly series).
@@ -76,26 +76,6 @@ func DetectStep(series []float64, minSeg int, threshold float64) (ChangePoint, e
 	}
 	best.Significant = math.Abs(best.ZScore) >= threshold
 	return best, nil
-}
-
-// CUSUM computes the one-sided cumulative-sum statistic for an upward mean
-// shift relative to a reference mean and slack. It returns the running
-// statistic and the first index at which it exceeded h (or -1).
-func CUSUM(series []float64, reference, slack, h float64) (stat []float64, alarm int) {
-	stat = make([]float64, len(series))
-	alarm = -1
-	s := 0.0
-	for i, v := range series {
-		s += v - reference - slack
-		if s < 0 {
-			s = 0
-		}
-		stat[i] = s
-		if alarm < 0 && s > h {
-			alarm = i
-		}
-	}
-	return stat, alarm
 }
 
 // MovingAverage returns the centered moving average of the series with the

@@ -65,22 +65,6 @@ func TestDetectStepDownward(t *testing.T) {
 	}
 }
 
-func TestCUSUMAlarm(t *testing.T) {
-	series := stepSeries(50, 50, 100, 150, 4)
-	_, alarm := CUSUM(series, 100, 10, 200)
-	if alarm < 50 || alarm > 70 {
-		t.Errorf("CUSUM alarm at %d, want shortly after 50", alarm)
-	}
-}
-
-func TestCUSUMNoAlarm(t *testing.T) {
-	series := stepSeries(200, 0, 100, 0, 5)
-	_, alarm := CUSUM(series, 100, 10, 500)
-	if alarm != -1 {
-		t.Errorf("false CUSUM alarm at %d", alarm)
-	}
-}
-
 func TestMovingAverageFlat(t *testing.T) {
 	series := []float64{5, 5, 5, 5, 5}
 	ma := MovingAverage(series, 3)

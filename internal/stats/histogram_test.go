@@ -2,19 +2,18 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestLinearHistogramBasics(t *testing.T) {
-	h, err := NewLinearHistogram(0, 10, 10)
+func TestLogHistogramBasics(t *testing.T) {
+	h, err := NewLogHistogram(1, 1e10, 10) // one bin per decade
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Add(0.5)
-	h.Add(9.99)
-	h.Add(5)
+	h.Add(1)
+	h.Add(9.99e9)
+	h.Add(2e5)
 	if h.Count(0) != 1 || h.Count(9) != 1 || h.Count(5) != 1 {
 		t.Errorf("counts wrong: %v %v %v", h.Count(0), h.Count(9), h.Count(5))
 	}
@@ -24,23 +23,25 @@ func TestLinearHistogramBasics(t *testing.T) {
 }
 
 func TestHistogramUnderOverflow(t *testing.T) {
-	h, _ := NewLinearHistogram(0, 1, 4)
-	h.Add(-1)
-	h.Add(2)
-	h.Add(1) // hi edge is exclusive → overflow
-	if h.Underflow() != 1 {
-		t.Errorf("underflow = %v", h.Underflow())
+	h, _ := NewLogHistogram(1, 16, 4)
+	h.Add(0.5)
+	h.Add(32)
+	h.Add(16) // hi edge is exclusive → overflow
+	for i := 0; i < h.Bins(); i++ {
+		if h.Count(i) != 0 {
+			t.Errorf("bin %d = %v, want every observation out of range", i, h.Count(i))
+		}
 	}
-	if h.Overflow() != 2 {
-		t.Errorf("overflow = %v", h.Overflow())
+	if h.Total() != 3 {
+		t.Errorf("total = %v, want under- and overflow counted", h.Total())
 	}
 }
 
 func TestHistogramInvalidArgs(t *testing.T) {
-	if _, err := NewLinearHistogram(1, 0, 5); err == nil {
+	if _, err := NewLogHistogram(10, 1, 5); err == nil {
 		t.Error("expected error for reversed range")
 	}
-	if _, err := NewLinearHistogram(0, 1, 0); err == nil {
+	if _, err := NewLogHistogram(1, 10, 0); err == nil {
 		t.Error("expected error for zero bins")
 	}
 	if _, err := NewLogHistogram(0, 1, 5); err == nil {
@@ -79,10 +80,6 @@ func TestHistogramMassConservation(t *testing.T) {
 }
 
 func TestBinCenters(t *testing.T) {
-	lin, _ := NewLinearHistogram(0, 10, 5)
-	if got := lin.BinCenter(0); got != 1 {
-		t.Errorf("linear center = %v, want 1", got)
-	}
 	lg, _ := NewLogHistogram(1, 100, 2)
 	if got := lg.BinCenter(0); math.Abs(got-math.Sqrt(10)) > 1e-9 {
 		t.Errorf("log center = %v, want sqrt(10)", got)
@@ -98,15 +95,6 @@ func TestPerLethargy(t *testing.T) {
 	}
 }
 
-func TestDensity(t *testing.T) {
-	h, _ := NewLinearHistogram(0, 10, 5)
-	h.AddWeighted(1, 6)
-	d := h.Density()
-	if d[0] != 3 { // 6 counts over width-2 bin
-		t.Errorf("density = %v, want 3", d[0])
-	}
-}
-
 func TestIntegralBetween(t *testing.T) {
 	h, _ := NewLogHistogram(1e-3, 1e9, 36)
 	h.AddWeighted(0.025, 5) // thermal
@@ -116,28 +104,5 @@ func TestIntegralBetween(t *testing.T) {
 	}
 	if got := h.IntegralBetween(1e6, 1e9); got != 7 {
 		t.Errorf("fast integral = %v, want 7", got)
-	}
-}
-
-func TestASCIIRender(t *testing.T) {
-	h, _ := NewLinearHistogram(0, 4, 4)
-	h.AddWeighted(0.5, 4)
-	h.AddWeighted(1.5, 2)
-	s := h.ASCII(8)
-	if !strings.Contains(s, "########") {
-		t.Errorf("expected full-width bar in:\n%s", s)
-	}
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Errorf("expected 4 lines, got %d", len(lines))
-	}
-}
-
-func TestEdgesCopied(t *testing.T) {
-	h, _ := NewLinearHistogram(0, 1, 2)
-	e := h.Edges()
-	e[0] = 99
-	if h.Edges()[0] == 99 {
-		t.Error("Edges() exposed internal slice")
 	}
 }

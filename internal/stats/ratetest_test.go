@@ -134,10 +134,10 @@ func TestCompareRatesPower(t *testing.T) {
 }
 
 func TestNormalSF(t *testing.T) {
-	if got := NormalSF(0); math.Abs(got-0.5) > 1e-12 {
+	if got := normalSF(0); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("SF(0) = %v", got)
 	}
-	if got := NormalSF(1.96); math.Abs(got-0.025) > 1e-3 {
+	if got := normalSF(1.96); math.Abs(got-0.025) > 1e-3 {
 		t.Errorf("SF(1.96) = %v", got)
 	}
 }

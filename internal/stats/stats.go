@@ -6,7 +6,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrNoData is returned by estimators that received an empty sample.
@@ -64,44 +63,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Median returns the sample median, or 0 for an empty slice.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return 0.5 * (cp[n/2-1] + cp[n/2])
-}
-
-// Quantile returns the q-th sample quantile (0 <= q <= 1) using linear
-// interpolation between order statistics.
-func Quantile(xs []float64, q float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if q <= 0 {
-		return cp[0]
-	}
-	if q >= 1 {
-		return cp[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= n {
-		return cp[n-1]
-	}
-	return cp[lo]*(1-frac) + cp[lo+1]*frac
-}
-
 // PoissonCI holds a two-sided confidence interval for a Poisson mean given
 // an observed count. Beam experiments report cross sections with such
 // intervals ("error bars considering Poisson's 95% confidence interval",
@@ -130,16 +91,6 @@ func PoissonConfidence(count int64, confidence float64) PoissonCI {
 
 // Poisson95 is shorthand for the paper's standard 95% interval.
 func Poisson95(count int64) PoissonCI { return PoissonConfidence(count, 0.95) }
-
-// RelativeWidth returns (upper-lower)/count, a convenient figure of merit
-// for deciding whether a campaign has collected enough statistics. It
-// returns +Inf for zero counts.
-func (ci PoissonCI) RelativeWidth() float64 {
-	if ci.Count == 0 {
-		return math.Inf(1)
-	}
-	return (ci.Upper - ci.Lower) / float64(ci.Count)
-}
 
 // chiSquaredQuantile returns the p-quantile of a chi-squared distribution
 // with k degrees of freedom, using the Wilson-Hilferty normal approximation
@@ -216,9 +167,6 @@ func normalQuantile(p float64) float64 {
 	}
 }
 
-// NormalQuantile exposes the inverse standard-normal CDF for other packages.
-func NormalQuantile(p float64) float64 { return normalQuantile(p) }
-
 func lgamma(x float64) float64 {
 	v, _ := math.Lgamma(x)
 	return v
@@ -272,9 +220,6 @@ func regularizedGammaP(a, x float64) float64 {
 	q := math.Exp(-x+a*math.Log(x)-lgamma(a)) * h
 	return 1 - q
 }
-
-// RegularizedGammaP exposes P(a,x) for tests and other packages.
-func RegularizedGammaP(a, x float64) float64 { return regularizedGammaP(a, x) }
 
 // RateEstimate is an estimated event rate (events per unit exposure) with a
 // Poisson confidence interval, the core quantity behind every cross section

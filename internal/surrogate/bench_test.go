@@ -6,7 +6,6 @@ package surrogate_test
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http/httptest"
@@ -215,9 +214,5 @@ func writeSurrogateSnapshot(path string) error {
 	if storm.Errors != 0 {
 		return fmt.Errorf("tier storm saw %d errors, want 0", storm.Errors)
 	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return telemetry.WriteFileAtomic(path, append(data, '\n'), 0o644)
+	return telemetry.WriteJSONAtomic(path, snap)
 }

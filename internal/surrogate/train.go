@@ -75,11 +75,7 @@ func (ds *Dataset) Fingerprint() string {
 
 // Save writes the dataset atomically to path.
 func (ds *Dataset) Save(path string) error {
-	data, err := json.MarshalIndent(ds, "", "  ")
-	if err != nil {
-		return fmt.Errorf("surrogate: marshal dataset: %w", err)
-	}
-	return telemetry.WriteFileAtomic(path, append(data, '\n'), 0o644)
+	return telemetry.WriteJSONAtomic(path, ds)
 }
 
 // LoadDataset reads a dataset written by Save.

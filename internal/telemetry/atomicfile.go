@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -33,4 +34,14 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 		return fmt.Errorf("atomic write %s: %w", path, err)
 	}
 	return nil
+}
+
+// WriteJSONAtomic writes v as two-space-indented JSON with a trailing
+// newline to path through WriteFileAtomic.
+func WriteJSONAtomic(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return fmt.Errorf("atomic write %s: %w", path, err)
+	}
+	return WriteFileAtomic(path, append(data, '\n'), 0o644)
 }

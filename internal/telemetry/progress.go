@@ -52,9 +52,6 @@ func EnableProgress(w io.Writer, interval time.Duration) {
 // DisableProgress stops progress reporting.
 func DisableProgress() { progressSink.Store(nil) }
 
-// ProgressEnabled reports whether a progress reporter is active.
-func ProgressEnabled() bool { return progressSink.Load() != nil }
-
 // ReportProgress posts a status update to the active reporter, if any.
 func ReportProgress(u ProgressUpdate) {
 	p := progressSink.Load()

@@ -100,11 +100,7 @@ func (r *Registry) Snapshot() *Snapshot {
 // the target — so a scraper polling the file mid-write never reads a torn
 // document.
 func (r *Registry) WriteSnapshot(path string) error {
-	data, err := json.MarshalIndent(r.Snapshot(), "", "  ")
-	if err != nil {
-		return fmt.Errorf("telemetry: marshal snapshot: %w", err)
-	}
-	if err := WriteFileAtomic(path, append(data, '\n'), 0o644); err != nil {
+	if err := WriteJSONAtomic(path, r.Snapshot()); err != nil {
 		return fmt.Errorf("telemetry: write snapshot: %w", err)
 	}
 	return nil

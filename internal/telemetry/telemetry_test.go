@@ -258,7 +258,7 @@ func TestCLILifecycle(t *testing.T) {
 	if err := cli.Start("telemetry-test"); err != nil {
 		t.Fatal(err)
 	}
-	if !ProgressEnabled() {
+	if progressSink.Load() == nil {
 		t.Error("-progress did not enable the reporter")
 	}
 	Count("cli.test_counter", 5)
@@ -268,7 +268,7 @@ func TestCLILifecycle(t *testing.T) {
 	if err := cli.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if ProgressEnabled() {
+	if progressSink.Load() != nil {
 		t.Error("Close left the progress reporter enabled")
 	}
 	s, err := ReadSnapshot(out)

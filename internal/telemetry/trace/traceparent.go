@@ -19,9 +19,6 @@ type Traceparent struct {
 	Flags   byte
 }
 
-// Sampled reports whether the sampled flag (bit 0) is set.
-func (tp Traceparent) Sampled() bool { return tp.Flags&0x01 != 0 }
-
 // String renders the header value in version-00 format.
 func (tp Traceparent) String() string {
 	return fmt.Sprintf("00-%s-%s-%02x", tp.TraceID, tp.SpanID, tp.Flags)

@@ -696,13 +696,8 @@ type EnhancementConfig struct {
 	Neutrons int
 }
 
-// ThermalEnhancement estimates the relative increase of the local thermal
-// flux caused by the moderator: albedo × coupling × (Φfast/Φthermal).
-func ThermalEnhancement(cfg EnhancementConfig, source func(*rng.Stream) units.Energy, s *rng.Stream) (float64, error) {
-	return ThermalEnhancementContext(context.Background(), cfg, source, s)
-}
-
-// ThermalEnhancementContext is ThermalEnhancement with a caller context.
+// ThermalEnhancementContext estimates the relative increase of the local
+// thermal flux caused by the moderator: albedo × coupling × (Φfast/Φthermal).
 func ThermalEnhancementContext(ctx context.Context, cfg EnhancementConfig, source func(*rng.Stream) units.Energy, s *rng.Stream) (float64, error) {
 	if cfg.FastToThermalFluxRatio <= 0 {
 		return 0, errors.New("transport: flux ratio must be positive")

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -191,7 +192,7 @@ func TestThermalEnhancementCalibration(t *testing.T) {
 	s := rng.New(11)
 	// With coupling 0.5 and fast:thermal ratio 3.2 (NYC-like), 2 inches of
 	// water should produce roughly the paper's +24%.
-	enh, err := ThermalEnhancement(EnhancementConfig{
+	enh, err := ThermalEnhancementContext(context.Background(), EnhancementConfig{
 		Moderator:              materials.Water(),
 		Thickness:              5.08,
 		FastToThermalFluxRatio: 3.2,
@@ -205,7 +206,7 @@ func TestThermalEnhancementCalibration(t *testing.T) {
 		t.Errorf("water enhancement = %v, want ~0.24", enh)
 	}
 	// Concrete slab floor: the paper reports ~+20%.
-	enhC, err := ThermalEnhancement(EnhancementConfig{
+	enhC, err := ThermalEnhancementContext(context.Background(), EnhancementConfig{
 		Moderator:              materials.Concrete(),
 		Thickness:              30,
 		FastToThermalFluxRatio: 3.2,
@@ -223,18 +224,18 @@ func TestThermalEnhancementCalibration(t *testing.T) {
 func TestThermalEnhancementValidation(t *testing.T) {
 	s := rng.New(12)
 	cfg := EnhancementConfig{Moderator: materials.Water(), Thickness: 5}
-	if _, err := ThermalEnhancement(cfg, fastSource, s); err == nil {
+	if _, err := ThermalEnhancementContext(context.Background(), cfg, fastSource, s); err == nil {
 		t.Error("zero flux ratio accepted")
 	}
 	cfg.FastToThermalFluxRatio = 3
-	if _, err := ThermalEnhancement(cfg, fastSource, s); err == nil {
+	if _, err := ThermalEnhancementContext(context.Background(), cfg, fastSource, s); err == nil {
 		t.Error("zero coupling accepted")
 	}
 }
 
 func TestThermalEnhancementDefaultNeutrons(t *testing.T) {
 	s := rng.New(13)
-	enh, err := ThermalEnhancement(EnhancementConfig{
+	enh, err := ThermalEnhancementContext(context.Background(), EnhancementConfig{
 		Moderator:              materials.Water(),
 		Thickness:              5.08,
 		FastToThermalFluxRatio: 3.2,

@@ -1,7 +1,6 @@
 package vr
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -9,6 +8,7 @@ import (
 
 	"neutronsim/internal/beam"
 	"neutronsim/internal/plan"
+	"neutronsim/internal/telemetry"
 )
 
 // minReduction is the CI floor on the headline number: the biased E3
@@ -40,11 +40,7 @@ func writeVRSnapshot(path string) error {
 	if err := Gate(rep, minReduction); err != nil {
 		return err
 	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
+	return telemetry.WriteJSONAtomic(path, rep)
 }
 
 // TestVRCompareQuick runs a shortened E3 comparison as a tier-1 smoke

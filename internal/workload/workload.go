@@ -15,53 +15,22 @@ import (
 	"math"
 )
 
-// Class groups workloads the way the paper assigns them to devices.
-type Class int
-
-// Workload classes.
-const (
-	ClassHPC Class = iota + 1
-	ClassHeterogeneous
-	ClassNeuralNetwork
-)
-
-// String names the class.
-func (c Class) String() string {
-	switch c {
-	case ClassHPC:
-		return "HPC"
-	case ClassHeterogeneous:
-		return "heterogeneous"
-	case ClassNeuralNetwork:
-		return "neural network"
-	default:
-		return "unknown"
-	}
-}
-
-// Execution errors: a workload returning one of these from Step is what
+// ErrCorruptState marks detectably corrupted control state (the analogue
+// of a crash / illegal access). A workload returning it from Step is what
 // the beam harness classifies as a DUE (the application "dies or gets
 // stuck", §III-C).
-var (
-	// ErrHang marks a step that exceeded its iteration watchdog.
-	ErrHang = errors.New("workload: hang detected")
-	// ErrCorruptState marks detectably corrupted control state (the
-	// analogue of a crash / illegal access).
-	ErrCorruptState = errors.New("workload: corrupt control state")
-)
+var ErrCorruptState = errors.New("workload: corrupt control state")
 
 // Workload is a deterministic, stepwise, fault-injectable kernel.
 type Workload interface {
 	// Name is the benchmark's short name (e.g. "MxM").
 	Name() string
-	// Class is the benchmark family.
-	Class() Class
 	// Reset (re)initializes all inputs and state from the seed.
 	Reset(seed uint64)
 	// Steps is the number of execution steps after Reset.
 	Steps() int
-	// Step runs step i (0-based). It may return ErrHang or
-	// ErrCorruptState when injected faults break control flow.
+	// Step runs step i (0-based). It may return ErrCorruptState when
+	// injected faults break control flow.
 	Step(i int) error
 	// AppendOutput appends the result signature used for golden
 	// comparison to dst and returns the extended slice, so a caller that
